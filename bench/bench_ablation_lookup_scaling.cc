@@ -22,6 +22,14 @@
 // sets on every query at 10^5 names. CI's gate additionally requires
 // index-on >= 5x walk throughput at 10^5 (see ci.yml), using the
 // `result_hash` counters emitted here to re-assert set identity from JSON.
+//
+// The *RoomFloorWildcard pair is the early-binding shape of the end-to-end
+// `resolve` workload: [room=R[floor=*]][x0=A] over names that all carry a
+// floor below their room. The posting index serves the wildcard by its count
+// proof (every record under room=R grafts through floor, so the wildcard is
+// Sub(room=R)); the walk unions the room's floor subtrees. The same startup
+// parity check covers both families, and also refuses to run if any of
+// their queries fell back to the walk.
 
 #include <benchmark/benchmark.h>
 
@@ -80,6 +88,51 @@ std::vector<CompiledName> MakeConjQueries(const NameTree& tree) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Wildcard-below-literal workload (the e2e `resolve` query shape).
+// ---------------------------------------------------------------------------
+
+// Record i advertises [room=r{i%200} [floor=f{(i/7)%10}]] [x0=y{i%997}]:
+// a room holds 1/200 of the tree, an x0 value 1/997 (prime, independent of
+// the room), so [room=R[floor=*]][x0=A] matches ~n/200k records.
+constexpr size_t kRooms = 200;
+constexpr size_t kFloors = 10;
+constexpr size_t kX0Values = 997;
+
+NameSpecifier RoomFloorName(size_t i) {
+  NameSpecifier n;
+  n.AddPath({{"room", "r" + std::to_string(i % kRooms)},
+             {"floor", "f" + std::to_string((i / 7) % kFloors)}});
+  n.AddPath({{"x0", "y" + std::to_string(i % kX0Values)}});
+  return n;
+}
+
+void PopulateRoomFloorTree(NameTree* tree, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    NameRecord rec;
+    rec.announcer = AnnouncerId{0x0b000000u + static_cast<uint32_t>(i + 1), 1000,
+                                static_cast<uint32_t>(i)};
+    rec.expires = Seconds(1u << 30);
+    rec.version = 1;
+    tree->Upsert(RoomFloorName(i), rec);
+  }
+}
+
+// 256 queries [room=r?[floor=*]][x0=y?]; the 13q+5 stride decorrelates the
+// pair, as in MakeConjQueries.
+std::vector<CompiledName> MakeRoomFloorQueries(const NameTree& tree) {
+  std::vector<CompiledName> out;
+  out.reserve(256);
+  for (size_t q = 0; q < 256; ++q) {
+    NameSpecifier spec;
+    spec.AddPathValue({{"room", "r" + std::to_string(q % kRooms)}}, "floor",
+                      Value::Wildcard());
+    spec.AddPath({{"x0", "y" + std::to_string((q * 13 + 5) % kX0Values)}});
+    out.push_back(CompiledName::ForQuery(spec, tree.symbols()));
+  }
+  return out;
+}
+
 // FNV-1a over the announcer identities of every query's result set, in
 // result order. Identical across engines iff the result sets are identical.
 uint64_t ResultHash(const std::vector<const NameRecord*>& recs) {
@@ -107,12 +160,16 @@ uint64_t HashAllQueries(const std::vector<CompiledName>& queries, LookupFn&& loo
 }
 
 // Exits the process unless the index path and the tree walk return
-// hash-identical result sets for every query at `n` names. Runs before the
-// benchmarks so a semantic divergence can never be reported as a speedup.
-void VerifyConjParityOrDie(size_t n) {
+// hash-identical result sets for every query of a family at `n` names, and
+// the index path really served them (not one fell back to the tree walk).
+// Runs before the benchmarks so a semantic divergence can never be reported
+// as a speedup.
+template <typename PopulateFn, typename QueriesFn>
+void VerifyParityOrDie(const char* family, size_t n, PopulateFn&& populate,
+                       QueriesFn&& make_queries) {
   NameTree tree;
-  PopulateConjTree(&tree, n);
-  const std::vector<CompiledName> queries = MakeConjQueries(tree);
+  populate(&tree, n);
+  const std::vector<CompiledName> queries = make_queries(tree);
   NameTree::LookupScratch scratch;
   size_t nonempty = 0;
   for (const CompiledName& q : queries) {
@@ -121,64 +178,73 @@ void VerifyConjParityOrDie(size_t n) {
     nonempty += via_index.empty() ? 0 : 1;
     if (ResultHash(via_index) != ResultHash(via_walk)) {
       std::fprintf(stderr,
-                   "FATAL: index/walk result divergence at n=%zu "
+                   "FATAL: %s index/walk result divergence at n=%zu "
                    "(index=%zu records, walk=%zu records)\n",
-                   n, via_index.size(), via_walk.size());
+                   family, n, via_index.size(), via_walk.size());
       std::exit(1);
     }
   }
   const PostingIndexStats stats = tree.index_stats();
-  if (stats.index_lookups == 0 || nonempty == 0) {
+  if (stats.index_lookups == 0 || nonempty == 0 || stats.TotalFallbacks() != 0) {
     std::fprintf(stderr,
-                 "FATAL: parity check did not exercise the index path "
-                 "(index_lookups=%llu, nonempty=%zu)\n",
-                 static_cast<unsigned long long>(stats.index_lookups), nonempty);
+                 "FATAL: %s parity check did not exercise the index path "
+                 "(index_lookups=%llu, fallbacks=%llu, nonempty=%zu)\n",
+                 family, static_cast<unsigned long long>(stats.index_lookups),
+                 static_cast<unsigned long long>(stats.TotalFallbacks()), nonempty);
     std::exit(1);
   }
-  std::printf("parity: %zu queries at n=%zu, index==walk, %zu non-empty\n",
+  std::printf("parity: %s, %zu queries at n=%zu, index==walk, %zu non-empty\n", family,
               queries.size(), n, nonempty);
 }
 
-void BM_IndexConjunctive(benchmark::State& state) {
+// One engine on one workload family at n = state.range(0): records the
+// result hash (truncated to stay exact in a double), then times lookups
+// cycling over the family's queries. kWalk runs LookupTreeWalk (index
+// bypassed) on the same kind of tree instead of Lookup.
+template <bool kWalk, typename PopulateFn, typename QueriesFn>
+void RunFamily(benchmark::State& state, PopulateFn&& populate, QueriesFn&& make_queries) {
   const size_t n = static_cast<size_t>(state.range(0));
   NameTree tree;
-  PopulateConjTree(&tree, n);
-  const std::vector<CompiledName> queries = MakeConjQueries(tree);
+  populate(&tree, n);
+  const std::vector<CompiledName> queries = make_queries(tree);
   NameTree::LookupScratch scratch;
-  state.counters["result_hash"] = static_cast<double>(
-      HashAllQueries(queries, [&](const CompiledName& q) { return tree.Lookup(q, &scratch); }) >>
-      24);  // truncated to stay exact in a double
+  auto lookup = [&](const CompiledName& q) {
+    return kWalk ? tree.LookupTreeWalk(q, &scratch) : tree.Lookup(q, &scratch);
+  };
+  state.counters["result_hash"] = static_cast<double>(HashAllQueries(queries, lookup) >> 24);
   size_t qi = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Lookup(queries[qi], &scratch));
+    benchmark::DoNotOptimize(lookup(queries[qi]));
     qi = (qi + 1) % queries.size();
   }
   state.counters["lookups_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["index_bytes"] = static_cast<double>(tree.ComputeStats().index_bytes);
+  if (!kWalk) {
+    state.counters["index_bytes"] = static_cast<double>(tree.ComputeStats().index_bytes);
+  }
+}
+
+void BM_IndexConjunctive(benchmark::State& state) {
+  RunFamily<false>(state, PopulateConjTree, MakeConjQueries);
 }
 
 void BM_WalkConjunctive(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  NameTree tree;
-  PopulateConjTree(&tree, n);
-  const std::vector<CompiledName> queries = MakeConjQueries(tree);
-  NameTree::LookupScratch scratch;
-  state.counters["result_hash"] = static_cast<double>(
-      HashAllQueries(
-          queries, [&](const CompiledName& q) { return tree.LookupTreeWalk(q, &scratch); }) >>
-      24);
-  size_t qi = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.LookupTreeWalk(queries[qi], &scratch));
-    qi = (qi + 1) % queries.size();
-  }
-  state.counters["lookups_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  RunFamily<true>(state, PopulateConjTree, MakeConjQueries);
 }
 
 BENCHMARK(BM_IndexConjunctive)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_WalkConjunctive)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMicrosecond);
+
+void BM_IndexRoomFloorWildcard(benchmark::State& state) {
+  RunFamily<false>(state, PopulateRoomFloorTree, MakeRoomFloorQueries);
+}
+
+void BM_WalkRoomFloorWildcard(benchmark::State& state) {
+  RunFamily<true>(state, PopulateRoomFloorTree, MakeRoomFloorQueries);
+}
+
+BENCHMARK(BM_IndexRoomFloorWildcard)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WalkRoomFloorWildcard)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Hash tree vs linear scan (the original §5.1.1 ablation).
@@ -247,7 +313,9 @@ int main(int argc, char** argv) {
       "Ablation (analysis 5.1.1): hash name-tree vs linear scan",
       "T(d) = Theta(n_a^d (1+b)) hashed vs Theta(n_a^d (r_a+r_v+b)) linear; the "
       "tree's advantage grows with the number of names");
-  VerifyConjParityOrDie(100000);
+  VerifyParityOrDie("conjunctive", 100000, PopulateConjTree, MakeConjQueries);
+  VerifyParityOrDie("room-floor wildcard", 100000, PopulateRoomFloorTree,
+                    MakeRoomFloorQueries);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

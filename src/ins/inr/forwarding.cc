@@ -125,9 +125,11 @@ void ForwardingAgent::ResolveAndForward(const NodeAddress& src, const Packet& pa
         ShardPartial& p = parts[shard];
         p.matches = matches.size();
         if (early_binding) {
-          p.records.reserve(matches.size());
+          // The answer needs only endpoint and metric: copy those out of
+          // the records while the shard's guard still holds them.
+          p.items.reserve(matches.size());
           for (const NameRecord* rec : matches) {
-            p.records.push_back(rec->Detached());
+            p.items.push_back({rec->announcer, {rec->endpoint, rec->app_metric}});
           }
           return;
         }
@@ -151,11 +153,15 @@ void ForwardingAgent::ResolveAndForward(const NodeAddress& src, const Packet& pa
           }
           return;
         }
+        const NameRecord* best = nullptr;
         for (const NameRecord* rec : matches) {
-          if (!p.best.has_value() || rec->app_metric < p.best->app_metric ||
-              (rec->app_metric == p.best->app_metric && rec->announcer < p.best->announcer)) {
-            p.best = rec->Detached();
+          if (best == nullptr || rec->app_metric < best->app_metric ||
+              (rec->app_metric == best->app_metric && rec->announcer < best->announcer)) {
+            best = rec;
           }
+        }
+        if (best != nullptr) {
+          p.best = best->Detached();  // one copy per shard, not per improvement
         }
       });
 
@@ -178,15 +184,22 @@ void ForwardingAgent::ResolveAndForward(const NodeAddress& src, const Packet& pa
   Trace(packet, TraceEventKind::kLookup, "", {}, total_matches);
 
   if (early_binding) {
-    std::vector<NameRecord> merged;
-    merged.reserve(total_matches);
-    for (ShardPartial& p : parts) {
-      std::move(p.records.begin(), p.records.end(), std::back_inserter(merged));
+    // One shard is already in announcer order (Lookup's order); several
+    // are gathered and sorted by announcer.
+    auto& keyed = parts[0].items;
+    for (size_t i = 1; i < parts.size(); ++i) {
+      std::move(parts[i].items.begin(), parts[i].items.end(), std::back_inserter(keyed));
     }
-    std::sort(merged.begin(), merged.end(), [](const NameRecord& a, const NameRecord& b) {
-      return a.announcer < b.announcer;
-    });
-    HandleEarlyBinding(src, packet, std::move(merged));
+    if (parts.size() > 1) {
+      std::sort(keyed.begin(), keyed.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+    }
+    std::vector<EarlyBindingResponse::Item> items;
+    items.reserve(keyed.size());
+    for (auto& entry : keyed) {
+      items.push_back(std::move(entry.second));
+    }
+    HandleEarlyBinding(src, packet, std::move(items));
     return;
   }
   if (total_matches == 0) {
@@ -223,7 +236,7 @@ void ForwardingAgent::ForwardToVspaceOwner(const Packet& packet, const std::stri
 }
 
 void ForwardingAgent::HandleEarlyBinding(const NodeAddress& src, const Packet& packet,
-                                         std::vector<NameRecord> records) {
+                                         std::vector<EarlyBindingResponse::Item> items) {
   early_bindings_.Increment();
   uint64_t request_id = 0;
   NodeAddress reply_to = src;
@@ -235,10 +248,8 @@ void ForwardingAgent::HandleEarlyBinding(const NodeAddress& src, const Packet& p
   }
   EarlyBindingResponse resp;
   resp.request_id = request_id;
-  for (const NameRecord& rec : records) {
-    resp.items.push_back({rec.endpoint, rec.app_metric});
-  }
-  Trace(packet, TraceEventKind::kDelivered, "early_binding", reply_to, records.size());
+  resp.items = std::move(items);
+  Trace(packet, TraceEventKind::kDelivered, "early_binding", reply_to, resp.items.size());
   send_(reply_to, Envelope{MessageBody(std::move(resp))});
 }
 

@@ -23,6 +23,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ins/common/executor.h"
@@ -102,7 +103,9 @@ class ForwardingAgent {
   // Only the fields the packet's delivery mode needs are filled.
   struct ShardPartial {
     size_t matches = 0;
-    std::vector<NameRecord> records;     // early binding: all matches
+    // Early binding: the answer items keyed by announcer, built straight
+    // from the matched records in the shard's announcer order.
+    std::vector<std::pair<AnnouncerId, EarlyBindingResponse::Item>> items;
     std::optional<NameRecord> best;      // anycast: shard-local argmin
     std::vector<NameRecord> locals;      // multicast: locally attached matches
     std::vector<NodeAddress> next_hops;  // multicast: split-horizon-filtered hops
@@ -115,7 +118,7 @@ class ForwardingAgent {
                          const NameSpecifier& dst);
   void ForwardToVspaceOwner(const Packet& packet, const std::string& vspace);
   void HandleEarlyBinding(const NodeAddress& src, const Packet& packet,
-                          std::vector<NameRecord> records);
+                          std::vector<EarlyBindingResponse::Item> items);
   void HandleAnycast(const Packet& packet, const NameRecord& best);
   void HandleMulticast(const Packet& packet, std::vector<ShardPartial>& parts);
   void DeliverLocal(const Packet& packet, const NameRecord& record);

@@ -32,7 +32,7 @@ class Parser {
     NameSpecifier spec;
     SkipWhitespace();
     while (!AtEnd()) {
-      INS_RETURN_IF_ERROR(ParsePair(&spec.mutable_roots()));
+      INS_RETURN_IF_ERROR(ParsePair(&spec.mutable_roots(), 1));
       SkipWhitespace();
     }
     return spec;
@@ -64,11 +64,14 @@ class Parser {
     return std::string(text_.substr(start, pos_ - start));
   }
 
-  // Parses one bracketed av-pair into `siblings`.
-  Status ParsePair(std::vector<AvPair>* siblings) {
+  // Parses one bracketed av-pair, at nesting `depth`, into `siblings`.
+  Status ParsePair(std::vector<AvPair>* siblings, size_t depth) {
     SkipWhitespace();
     if (AtEnd() || Peek() != '[') {
       return ErrorHere("expected '['");
+    }
+    if (depth > kMaxNameDepth) {
+      return ErrorHere("av-pair nesting deeper than " + std::to_string(kMaxNameDepth));
     }
     ++pos_;  // consume '['
 
@@ -91,7 +94,7 @@ class Parser {
     // Child av-pairs until the closing bracket.
     SkipWhitespace();
     while (!AtEnd() && Peek() == '[') {
-      INS_RETURN_IF_ERROR(ParsePair(&pair->children));
+      INS_RETURN_IF_ERROR(ParsePair(&pair->children, depth + 1));
       SkipWhitespace();
     }
     if (AtEnd() || Peek() != ']') {

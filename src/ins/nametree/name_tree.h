@@ -69,8 +69,9 @@ class NameTree {
     // against all of them (the table is append-only and ids are stable).
     std::shared_ptr<SymbolTable> symbols;
     // Maintain a posting-list secondary index (posting_index.h) alongside
-    // the tree, and serve conjunctive literal queries by posting-list
-    // intersection; wildcard/range/union queries keep the tree walk. The
+    // the tree, and serve conjunctive queries by posting-list intersection;
+    // range, union-at-return and wildcard levels the index cannot prove by
+    // its counts keep the tree walk. The
     // index is provably result-identical to the walk (differential and
     // property tests pin it); off reproduces the pre-index layout exactly.
     bool enable_posting_index = true;
@@ -197,9 +198,9 @@ class NameTree {
   // As above with the query already compiled (ForQuery against symbols());
   // the per-store-operation path: compile once, run per shard. A null
   // scratch uses the thread-local pool. With the posting index enabled,
-  // conjunctive literal queries are served by posting-list intersection
-  // (plan memoized in the scratch's QueryPlanCache); wildcard/range/union
-  // queries fall back to LookupTreeWalk. Results are identical either way.
+  // conjunctive queries are served by posting-list intersection (plan
+  // memoized in the scratch's QueryPlanCache); the plan's fallback kinds run
+  // LookupTreeWalk instead. Results are identical either way.
   std::vector<const NameRecord*> Lookup(const CompiledName& query,
                                         LookupScratch* scratch = nullptr) const;
 

@@ -214,24 +214,43 @@ void PostingIndex::RemoveTerm(uint64_t vfp, uint64_t afp, bool terminal, uint32_
 //   sub count == end count     <=> the value node has no attribute children
 //                                  (every record under it attaches there),
 //                                  in which case End == Sub.
+//   attr count == parent count <=> every record at or below the parent
+//                                  grafts through the attribute (sibling
+//                                  attributes are unique, so a record counts
+//                                  at most once), in which case the wildcard
+//                                  union over Ta equals Sub(parent).
 
 PostingIndex::LevelResult PostingIndex::DeriveLevel(const CompiledName& query,
                                                     uint32_t begin, uint32_t count,
                                                     uint64_t parent_fp,
+                                                    const PostingList* parent,
                                                     QueryPlan* out) const {
   const std::vector<CompiledAvNode>& nodes = query.nodes();
+  const size_t parent_count = parent != nullptr ? parent->count() : live_slots_;
   bool constrained = false;
   bool fallback = false;
   for (uint32_t qi = begin; qi < begin + count; ++qi) {
     const CompiledAvNode& n = nodes[qi];
-    if (n.attribute == kInvalidSymbol ||
-        attr_count_.find(AttrFp(parent_fp, n.attribute)) == attr_count_.end()) {
+    auto attr_it = n.attribute == kInvalidSymbol
+                       ? attr_count_.end()
+                       : attr_count_.find(AttrFp(parent_fp, n.attribute));
+    if (attr_it == attr_count_.end()) {
       continue;  // `if Ta = null then continue`: conjunct is unconstraining
     }
+    if (n.kind == Value::Kind::kWildcard && attr_it->second == parent_count) {
+      // Count proof: the wildcard's union is all of Sub(parent). At the root
+      // that is every record (unconstraining); below a literal parent it is
+      // the parent's own posting.
+      if (parent != nullptr) {
+        out->terms.push_back(parent);
+        constrained = true;
+      }
+      continue;
+    }
     if (n.kind != Value::Kind::kLiteral) {
-      // Wildcard / range levels stay on the tree path. Keep scanning: a
-      // later empty literal still proves the whole level empty, in which
-      // case the tree walk is unnecessary.
+      // Other wildcard and range levels stay on the tree path. Keep
+      // scanning: a later empty literal still proves the whole level empty,
+      // in which case the tree walk is unnecessary.
       if (!fallback) {
         out->kind = n.kind == Value::Kind::kWildcard ? QueryPlan::Kind::kFallbackWildcard
                                                      : QueryPlan::Kind::kFallbackRange;
@@ -239,22 +258,23 @@ PostingIndex::LevelResult PostingIndex::DeriveLevel(const CompiledName& query,
       }
       continue;
     }
-    const uint64_t vfp = ValueFp(parent_fp, n.attribute, n.token);
-    auto sub_it = n.token == kInvalidSymbol ? sub_.end() : sub_.find(vfp);
+    auto sub_it = n.token == kInvalidSymbol ? sub_.end()
+                                            : sub_.find(ValueFp(parent_fp, n.attribute, n.token));
     if (sub_it == sub_.end()) {
       // Attribute present but this value advertised nowhere under it: the
       // level — and with it the conjunct's whole subtree product — is empty.
       return LevelResult::kEmpty;
     }
+    const PostingList* sub = &sub_it->second;
     if (n.child_count == 0) {
-      out->terms.push_back(vfp);  // query chain ends: Sub(p')
+      out->terms.push_back(sub);  // query chain ends: Sub(p')
       constrained = true;
       continue;
     }
-    auto end_it = end_count_.find(vfp);
+    auto end_it = end_count_.find(sub_it->first);
     const uint32_t end = end_it == end_count_.end() ? 0 : end_it->second;
-    if (sub_it->second.count() == end) {
-      out->terms.push_back(vfp);  // tree chain ends: End(p') == Sub(p')
+    if (sub->count() == end) {
+      out->terms.push_back(sub);  // tree chain ends: End(p') == Sub(p')
       constrained = true;
       continue;
     }
@@ -270,7 +290,7 @@ PostingIndex::LevelResult PostingIndex::DeriveLevel(const CompiledName& query,
     // No records attached at this interior node: the conjunct value is
     // exactly the recursive level's value, so its terms flatten into this
     // intersection (conjunct-level intersection is associative).
-    switch (DeriveLevel(query, n.child_begin, n.child_count, vfp, out)) {
+    switch (DeriveLevel(query, n.child_begin, n.child_count, sub_it->first, sub, out)) {
       case LevelResult::kEmpty:
         return LevelResult::kEmpty;  // ∅ ∪ End(p') = ∅ when end == 0
       case LevelResult::kConstrained:
@@ -292,7 +312,7 @@ PostingIndex::LevelResult PostingIndex::DeriveLevel(const CompiledName& query,
 void PostingIndex::DerivePlan(const CompiledName& query, QueryPlan* out) const {
   out->terms.clear();
   out->kind = QueryPlan::Kind::kUniversal;
-  switch (DeriveLevel(query, 0, query.root_count(), kRootFp, out)) {
+  switch (DeriveLevel(query, 0, query.root_count(), kRootFp, nullptr, out)) {
     case LevelResult::kUniversal:
       out->kind = QueryPlan::Kind::kUniversal;
       out->terms.clear();
@@ -316,7 +336,7 @@ void PostingIndex::DerivePlan(const CompiledName& query, QueryPlan* out) const {
 namespace {
 
 // Galloping membership probe over a sorted posting, resuming from *pos.
-// Driver slots arrive ascending, so each cursor sweeps its list once per
+// Probe slots arrive ascending, so the cursor sweeps its list once per
 // evaluation regardless of how many probes land in it.
 inline bool SortedAdvanceContains(const std::vector<uint32_t>& v, size_t* pos,
                                   uint32_t slot) {
@@ -346,6 +366,37 @@ inline bool SortedAdvanceContains(const std::vector<uint32_t>& v, size_t* pos,
   return v[i] == slot;
 }
 
+// Keeps the slots of ascending `*slots` that are set in `bitmap`. Branch-free:
+// membership of a candidate is a coin flip the predictor cannot learn.
+void FilterByBitmap(const PostingList& bitmap, std::vector<uint32_t>* slots) {
+  const std::vector<uint64_t>& words = bitmap.words();
+  uint32_t* out = slots->data();
+  size_t kept = 0;
+  for (const uint32_t s : *slots) {
+    const size_t w = s / 64;
+    const uint64_t word = w < words.size() ? words[w] : 0;
+    out[kept] = s;
+    kept += (word >> (s % 64)) & 1;
+  }
+  slots->resize(kept);
+}
+
+// Keeps the slots of ascending `*slots` that are in ascending `v`, by
+// galloping probes from one cursor that sweeps `v` once.
+void IntersectSorted(const std::vector<uint32_t>& v, std::vector<uint32_t>* slots) {
+  uint32_t* out = slots->data();
+  const size_t n = slots->size();
+  size_t kept = 0;
+  size_t pos = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t a = out[i];
+    if (SortedAdvanceContains(v, &pos, a)) {
+      out[kept++] = a;  // kept <= i: never overwrites an unread candidate
+    }
+  }
+  slots->resize(kept);
+}
+
 }  // namespace
 
 void PostingIndex::Evaluate(const QueryPlan& plan, std::vector<uint32_t>* out_slots,
@@ -353,35 +404,20 @@ void PostingIndex::Evaluate(const QueryPlan& plan, std::vector<uint32_t>* out_sl
   assert(plan.kind == QueryPlan::Kind::kIndex && !plan.terms.empty());
   out_slots->clear();
 
-  constexpr size_t kMaxInlineTerms = 64;
-  const PostingList* inline_lists[kMaxInlineTerms];
-  std::vector<const PostingList*> heap_lists;
-  const PostingList** lists = inline_lists;
-  if (plan.terms.size() > kMaxInlineTerms) {
-    heap_lists.resize(plan.terms.size());
-    lists = heap_lists.data();
-  }
-
+  // The plan's postings were resolved at derivation, against this index at
+  // this version; no probe of sub_ here.
+  const PostingList* const* lists = plan.terms.data();
+  const size_t nterms = plan.terms.size();
   size_t rarest = 0;
   bool all_bitmap = true;
-  for (size_t i = 0; i < plan.terms.size(); ++i) {
-    auto it = sub_.find(plan.terms[i]);
-    assert(it != sub_.end() && "plan evaluated against the index version it was derived from");
-    lists[i] = &it->second;
+  for (size_t i = 0; i < nterms; ++i) {
     all_bitmap = all_bitmap && lists[i]->is_bitmap();
     if (lists[i]->count() < lists[rarest]->count()) {
       rarest = i;
     }
   }
-  const size_t nterms = plan.terms.size();
 
-  if (nterms == 1) {
-    out_slots->reserve(lists[0]->count());
-    lists[0]->ForEachAscending([&](uint32_t s) { out_slots->push_back(s); });
-    return;
-  }
-
-  if (all_bitmap) {
+  if (all_bitmap && nterms > 1) {
     // Word-parallel AND. Words past any operand's tail are zero in the
     // result, so the kernel runs over the shortest operand.
     size_t nwords = lists[0]->words().size();
@@ -410,50 +446,21 @@ void PostingIndex::Evaluate(const QueryPlan& plan, std::vector<uint32_t>* out_sl
     return;
   }
 
-  // Rarest-first: stream the smallest posting in ascending order, probe the
-  // rest (O(1) bit tests on bitmaps, galloping monotone cursors on arrays).
-  struct Cursor {
-    const std::vector<uint32_t>* v;
-    size_t pos;
-  };
-  Cursor inline_cursors[kMaxInlineTerms];
-  const PostingList* inline_bitmaps[kMaxInlineTerms];
-  std::vector<Cursor> heap_cursors;
-  std::vector<const PostingList*> heap_bitmaps;
-  Cursor* cursors = inline_cursors;
-  const PostingList** bitmaps = inline_bitmaps;
-  if (nterms > kMaxInlineTerms) {
-    heap_cursors.resize(nterms);
-    heap_bitmaps.resize(nterms);
-    cursors = heap_cursors.data();
-    bitmaps = heap_bitmaps.data();
-  }
-  size_t ncursors = 0;
-  size_t nbitmaps = 0;
+  // Rarest-first: copy the smallest posting out in ascending order, then
+  // filter the candidates in place by every other term — bitmaps first (one
+  // bit test each), then sorted arrays.
+  out_slots->reserve(lists[rarest]->count());
+  lists[rarest]->ForEachAscending([&](uint32_t s) { out_slots->push_back(s); });
   for (size_t i = 0; i < nterms; ++i) {
-    if (i == rarest) {
-      continue;
-    }
-    if (lists[i]->is_bitmap()) {
-      bitmaps[nbitmaps++] = lists[i];
-    } else {
-      cursors[ncursors++] = Cursor{&lists[i]->sorted(), 0};
+    if (i != rarest && lists[i]->is_bitmap()) {
+      FilterByBitmap(*lists[i], out_slots);
     }
   }
-
-  lists[rarest]->ForEachAscending([&](uint32_t slot) {
-    for (size_t i = 0; i < nbitmaps; ++i) {
-      if (!bitmaps[i]->Contains(slot)) {
-        return;
-      }
+  for (size_t i = 0; i < nterms && !out_slots->empty(); ++i) {
+    if (i != rarest && !lists[i]->is_bitmap()) {
+      IntersectSorted(lists[i]->sorted(), out_slots);
     }
-    for (size_t i = 0; i < ncursors; ++i) {
-      if (!SortedAdvanceContains(*cursors[i].v, &cursors[i].pos, slot)) {
-        return;
-      }
-    }
-    out_slots->push_back(slot);
-  });
+  }
 }
 
 // ---------------------------------------------------------------------------

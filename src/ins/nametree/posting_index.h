@@ -1,5 +1,5 @@
 // The per-tree secondary index: posting lists keyed by value-path
-// fingerprints, turning conjunctive literal LOOKUP-NAME queries into
+// fingerprints, turning conjunctive LOOKUP-NAME queries into
 // rarest-first sorted-list / word-parallel bitmap intersections instead of
 // tree walks (ROADMAP item: hold >= 1M lookups/s at 10^5-10^6 names).
 //
@@ -20,9 +20,18 @@
 // the tree iff attr_count > 0, a value node exists iff sub_ holds its key,
 // and a value node has no attribute children iff sub == end (every record
 // under it is attached right there, in which case End == Sub and the sub
-// posting doubles as the End set). The remaining case — records attached at
-// an interior node with deeper query levels (the union-at-return rule) —
-// falls back to the tree walk, as do wildcard and range levels.
+// posting doubles as the End set).
+//
+// Wildcards by count proof. Sibling attributes of a specifier are unique, so
+// attr_count_[AttrFp(p, a)] counts distinct records, all of them in Sub(p).
+// When it equals |Sub(p)| (the live record count at the root), every record
+// under p grafts through p.a and Figure 5's wildcard union over that
+// attribute node is exactly Sub(p): the plan pushes p's own posting (at the
+// root: the conjunct is unconstraining). No walk, and no extra postings.
+//
+// What stays on the tree walk: wildcards over an attribute some record under
+// the parent omits, range levels, and records attached at an interior node
+// with deeper query levels (the union-at-return rule).
 //
 // Record ids. Records get dense u32 slots from a free-list allocator (the
 // bitmap universe); posting lists store slots sorted ascending and promote
@@ -33,9 +42,11 @@
 // covers it for free: the index flips sides with its tree, readers see the
 // published side under the same epoch guard, and deterministic replay
 // rebuilds the retired side's index identically. The version() counter —
-// bumped on every mutation — is what keys QueryPlanCache validity. The
-// lookup counters are relaxed atomics because concurrent readers share the
-// published side.
+// bumped on every mutation — is what keys QueryPlanCache validity, and with
+// it the PostingList pointers a plan holds: they are valid at the one
+// (id, version) the plan was derived at, because every insertion into or
+// erasure from sub_ bumps the version. The lookup counters are relaxed
+// atomics because concurrent readers share the published side.
 
 #ifndef INS_NAMETREE_POSTING_INDEX_H_
 #define INS_NAMETREE_POSTING_INDEX_H_
@@ -196,8 +207,9 @@ class PostingIndex {
   void DerivePlan(const CompiledName& query, QueryPlan* out) const;
 
   // Intersects the plan's posting lists into ascending `out_slots`. The plan
-  // must have kind kIndex and be current (same version). `word_scratch` backs
-  // the all-bitmap kernel.
+  // must have kind kIndex and be current (derived from this index at its
+  // current version: its posting pointers are dereferenced unchecked).
+  // `word_scratch` backs the all-bitmap kernel.
   void Evaluate(const QueryPlan& plan, std::vector<uint32_t>* out_slots,
                 std::vector<uint64_t>* word_scratch) const;
 
@@ -240,10 +252,12 @@ class PostingIndex {
   enum class LevelResult { kUniversal, kConstrained, kEmpty, kFallback };
 
   // One recursion level of plan derivation; mirrors NameTree::LookupLevel's
-  // branch structure using index state only. Appends intersection terms to
-  // `out->terms`; on kFallback, `out->kind` holds the fallback reason.
+  // branch structure using index state only. `parent` is the posting of the
+  // value node at `parent_fp` (null at the root). Appends intersection terms
+  // to `out->terms`; on kFallback, `out->kind` holds the fallback reason.
   LevelResult DeriveLevel(const CompiledName& query, uint32_t begin, uint32_t count,
-                          uint64_t parent_fp, QueryPlan* out) const;
+                          uint64_t parent_fp, const PostingList* parent,
+                          QueryPlan* out) const;
 
   void BumpVersion() { ++version_; }
 

@@ -1,16 +1,19 @@
 // Compiled query plans for the posting-list index (posting_index.h).
 //
-// A conjunctive literal-only query compiles to a QueryPlan: either a list of
-// path-fingerprint terms whose posting lists get intersected, a constant
-// (empty / universal), or a fallback verdict naming why the tree walk must
-// run instead (wildcard or range level, or a union-at-return level the index
-// cannot express). Deriving a plan costs O(query nodes) hash probes; the
+// A conjunctive query compiles to a QueryPlan: either the posting lists to
+// intersect, a constant (empty / universal), or a fallback verdict naming why
+// the tree walk must run instead (a wildcard the index cannot prove, a range
+// level, or a union-at-return level). Deriving a plan costs O(query nodes)
+// hash probes and resolves each term to its PostingList once; the
 // QueryPlanCache memoizes it so a hot destination query — the ones the wire
-// NameDecoder memo keeps hitting — skips even that.
+// NameDecoder memo keeps hitting — skips even that, and evaluation never
+// probes the index's hash maps.
 //
 // Cache validity: a plan is only meaningful against the exact index state it
 // was derived from, so entries are keyed by (index instance id, index
 // version, query fingerprint) and every index mutation bumps the version.
+// That same key is what keeps the plan's PostingList pointers valid: at an
+// unchanged (id, version) no posting has been created, erased or modified.
 // The cache lives inside a LookupScratch (thread-local by construction), so
 // concurrent readers never share cache storage.
 
@@ -25,20 +28,23 @@
 
 namespace ins {
 
+class PostingList;
+
 struct QueryPlan {
   enum class Kind : uint8_t {
     kIndex,             // intersect the posting lists named by `terms`
     kEmpty,             // some literal level matches nothing: result is {}
     kUniversal,         // no level constrains: result is every record
-    kFallbackWildcard,  // query has a wildcard level: tree walk
+    kFallbackWildcard,  // wildcard level not covered by the count proof: tree walk
     kFallbackRange,     // query has a range level: tree walk
     kFallbackUnion,     // union-at-return level (records end mid-chain): tree walk
   };
 
   Kind kind = Kind::kUniversal;
-  // Value-path fingerprints (PostingIndex::ValueFp chains) to intersect, in
-  // query order; only meaningful for kIndex.
-  std::vector<uint64_t> terms;
+  // The postings to intersect, in query order, resolved at derivation and
+  // valid only at the index (id, version) the plan was derived at; only
+  // meaningful for kIndex.
+  std::vector<const PostingList*> terms;
 
   bool NeedsTreeWalk() const {
     return kind == Kind::kFallbackWildcard || kind == Kind::kFallbackRange ||
@@ -89,7 +95,7 @@ class QueryPlanCache {
   size_t MemoryBytes() const {
     size_t bytes = entries_.capacity() * sizeof(Entry);
     for (const Entry& e : entries_) {
-      bytes += e.plan.terms.capacity() * sizeof(uint64_t);
+      bytes += e.plan.terms.capacity() * sizeof(const PostingList*);
     }
     return bytes;
   }

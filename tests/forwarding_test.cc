@@ -280,6 +280,90 @@ TEST(ForwardingTest, EarlyBindingReturnsEndpointsAndMetrics) {
   EXPECT_EQ(resps[0].items[0].endpoint.bindings[0].transport, "http");
 }
 
+// Early-binding answers are built straight from the matched records; they
+// must carry exactly what ShardedNameTree::Lookup reports, in its announcer
+// order, whether the space is one tree or hash-split across shards.
+TEST(ForwardingTest, EarlyBindingAnswerMatchesStoreLookup) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("fallback_shards=" + std::to_string(shards));
+    ClusterOptions options;
+    options.inr_template.fallback_shards = shards;
+    SimCluster cluster(options);
+    Inr* inr = cluster.AddInr(1);
+    cluster.StabilizeTopology();
+    auto client = cluster.AddEndpoint(20);
+
+    // Eight families (distinct first root attributes, so several shards are
+    // populated when split), two matching names and one other per family.
+    std::vector<std::unique_ptr<SimCluster::Endpoint>> services;
+    uint32_t host = 30;
+    for (int fam = 0; fam < 8; ++fam) {
+      for (const char* room : {"510", "510", "999"}) {
+        auto svc = cluster.AddEndpoint(host);
+        Advertisement ad =
+            MakeAd("[f" + std::to_string(fam) + "=cam][room=" + room + "]", svc->address(), 0,
+                   static_cast<double>((host * 7) % 11));
+        if (host == 31) {
+          ad.endpoint.bindings = {{8080, "http"}, {554, "rtsp"}, {9000, "udp"}};
+        }
+        svc->Send(inr->address(), Envelope{MessageBody(ad)});
+        services.push_back(std::move(svc));
+        ++host;
+      }
+    }
+    cluster.Settle();
+    const ShardedNameTree& store = inr->vspaces().store();
+    ASSERT_EQ(store.ShardCountOf(""), shards);
+    size_t populated = 0;
+    for (const ShardedNameTree::ShardStats& st : store.PerShardStats()) {
+      populated += st.records > 0 ? 1 : 0;
+    }
+    EXPECT_GE(populated, std::min<size_t>(shards, 2));
+
+    NameSpecifier query;
+    query.AddPath({{"room", "510"}});
+    const std::vector<NameRecord> want = store.Lookup("", query);
+    ASSERT_EQ(want.size(), 16u);
+
+    Packet req = MakeData("[room=510]", EncodeEarlyBindingPayload(77, client->address()));
+    req.early_binding = true;
+    client->Send(inr->address(), Envelope{MessageBody(req)});
+    cluster.Settle();
+
+    auto resps = client->ReceivedOf<EarlyBindingResponse>();
+    ASSERT_EQ(resps.size(), 1u);
+    EXPECT_EQ(resps[0].request_id, 77u);
+    ASSERT_EQ(resps[0].items.size(), want.size());
+    size_t multi_binding = 0;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(resps[0].items[i].endpoint == want[i].endpoint) << "item " << i;
+      EXPECT_EQ(resps[0].items[i].app_metric, want[i].app_metric) << "item " << i;
+      multi_binding += resps[0].items[i].endpoint.bindings.size() == 3 ? 1 : 0;
+    }
+    EXPECT_EQ(multi_binding, 1u);
+  }
+}
+
+TEST(ForwardingTest, HostileNestedDestinationIsABadDestination) {
+  SimCluster cluster;
+  Inr* inr = cluster.AddInr(1);
+  cluster.StabilizeTopology();
+  auto client = cluster.AddEndpoint(20);
+  // As deep as a wire string (u16 length) can carry: "[a" per level plus
+  // its closing bracket, far past kMaxNameDepth.
+  constexpr size_t kLevels = 21000;
+  std::string deep;
+  deep.reserve(kLevels * 3);
+  for (size_t i = 0; i < kLevels; ++i) {
+    deep += "[a";
+  }
+  deep += std::string(kLevels, ']');
+  client->Send(inr->address(), Envelope{MessageBody(MakeData(deep, {1}))});
+  cluster.Settle();
+  EXPECT_EQ(inr->metrics().Counter("forwarding.drop.bad_destination"), 1u);
+  EXPECT_EQ(inr->metrics().Counter("forwarding.lookups"), 0u);
+}
+
 TEST(ForwardingTest, CacheAnswersRepeatRequests) {
   SimCluster cluster;
   Inr* inr = cluster.AddInr(1);

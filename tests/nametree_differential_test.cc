@@ -87,6 +87,24 @@ class Harness {
 
   size_t replica_syncs() const { return replica_syncs_; }
 
+  static std::string Render(const std::vector<const NameRecord*>& recs) {
+    std::ostringstream os;
+    for (const NameRecord* r : recs) {
+      os << r->announcer.ToString() << " v" << r->version << " e" << r->expires.count()
+         << " m" << r->app_metric << "\n";
+    }
+    return os.str();
+  }
+
+  static std::string Render(const std::vector<NameRecord>& recs) {
+    std::ostringstream os;
+    for (const NameRecord& r : recs) {
+      os << r.announcer.ToString() << " v" << r.version << " e" << r.expires.count() << " m"
+         << r.app_metric << "\n";
+    }
+    return os.str();
+  }
+
   void RunOps(size_t n) {
     for (size_t i = 0; i < n; ++i) {
       const uint64_t dice = rng_.NextBelow(100);
@@ -256,24 +274,6 @@ class Harness {
       return DeriveQuery(rng_, PickLive().name, 0.8, 0.3);
     }
     return GenerateUniformName(rng_, params_);
-  }
-
-  static std::string Render(const std::vector<const NameRecord*>& recs) {
-    std::ostringstream os;
-    for (const NameRecord* r : recs) {
-      os << r->announcer.ToString() << " v" << r->version << " e" << r->expires.count()
-         << " m" << r->app_metric << "\n";
-    }
-    return os.str();
-  }
-
-  static std::string Render(const std::vector<NameRecord>& recs) {
-    std::ostringstream os;
-    for (const NameRecord& r : recs) {
-      os << r.announcer.ToString() << " v" << r.version << " e" << r.expires.count() << " m"
-         << r.app_metric << "\n";
-    }
-    return os.str();
   }
 
   void OpCompareLookup() {
@@ -451,6 +451,245 @@ TEST_P(DifferentialTest, SingleShardIsByteIdenticalOnSparseWorkload) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u));
+
+// ---------------------------------------------------------------------------
+// Wildcards the posting index serves by count proof (posting_index.h): a
+// wildcard conjunct whose attribute every record under its parent carries is
+// exactly Sub(parent), so the plan needs no walk. These suites aim wildcard
+// queries at the root and below a literal, on trees where the proof holds
+// (schema-complete) and where it holds only some of the time (sparse), and
+// demand index == Figure-5 walk == index-off tree == single-shard store.
+// ---------------------------------------------------------------------------
+
+// The four engines on one query, through one reused scratch (and with it one
+// plan cache, whose plans hold posting pointers valid at one index version).
+class WildcardEngines {
+ public:
+  WildcardEngines() : tree_off_(Harness::IndexOffOptions()) {
+    ShardedNameTree::Options opts;
+    opts.fallback_shards = 1;
+    sharded_ = std::make_unique<ShardedNameTree>(opts);
+    sharded_->AddSpace("");
+  }
+
+  void Upsert(const NameSpecifier& name, uint32_t id, uint64_t version, TimePoint expires) {
+    NameRecord rec;
+    rec.announcer = AnnouncerId{0x0e000000u + id, 9, id};
+    rec.version = version;
+    rec.expires = expires;
+    oracle_.Upsert(name, rec);
+    tree_.Upsert(name, rec);
+    tree_off_.Upsert(name, rec);
+    sharded_->Upsert("", name, rec);
+  }
+
+  void Remove(uint32_t id) {
+    const AnnouncerId a{0x0e000000u + id, 9, id};
+    const bool removed = tree_.Remove(a);
+    ASSERT_EQ(removed, tree_off_.Remove(a));
+    ASSERT_EQ(removed, sharded_->Remove("", a));
+    ASSERT_EQ(removed, oracle_.Remove(a));
+  }
+
+  void Expire(TimePoint now) {
+    const size_t n = tree_.ExpireBefore(now);
+    ASSERT_EQ(n, tree_off_.ExpireBefore(now));
+    ASSERT_EQ(n, sharded_->ExpireBefore(now));
+    ASSERT_EQ(n, oracle_.ExpireBefore(now));
+  }
+
+  // Compares all engines on `q`; with `vs_oracle` also against Matches()
+  // (valid only while the tree is schema-complete).
+  void Compare(const NameSpecifier& q, bool vs_oracle) {
+    const CompiledName cq = CompiledName::ForQuery(q, tree_.symbols());
+    const std::string via_index = Harness::Render(tree_.Lookup(cq, &scratch_));
+    EXPECT_EQ(via_index, Harness::Render(tree_.LookupTreeWalk(cq, &scratch_)))
+        << "index vs walk on " << q.ToString();
+    EXPECT_EQ(via_index, Harness::Render(tree_off_.Lookup(
+                             CompiledName::ForQuery(q, tree_off_.symbols()))))
+        << "index vs index-off tree on " << q.ToString();
+    EXPECT_EQ(via_index, Harness::Render(sharded_->Lookup("", q)))
+        << "index vs sharded store on " << q.ToString();
+    if (vs_oracle) {
+      EXPECT_EQ(via_index, Harness::Render(oracle_.Lookup(q)))
+          << "index vs oracle on " << q.ToString();
+    }
+  }
+
+  const NameTree& tree() const { return tree_; }
+
+ private:
+  LinearNameTable oracle_;
+  NameTree tree_;
+  NameTree tree_off_;
+  std::unique_ptr<ShardedNameTree> sharded_;
+  NameTree::LookupScratch scratch_;
+};
+
+// Wildcard-family queries derived from a live name: a root wildcard on one
+// of its attributes, and a wildcard below one of its literals, each alone or
+// next to a further literal conjunct of the same name.
+std::vector<NameSpecifier> WildcardFamilies(Rng& rng, const NameSpecifier& live) {
+  const std::vector<AvPair>& roots = live.roots();
+  const AvPair& a = roots[rng.NextBelow(roots.size())];
+  const AvPair& other = roots[rng.NextBelow(roots.size())];
+  std::vector<NameSpecifier> out;
+
+  NameSpecifier root_wild;
+  root_wild.AddPathValue({}, a.attribute, Value::Wildcard());
+  out.push_back(root_wild);
+
+  // Both schemas grow children under every root pair (d == 2).
+  const AvPair& child = a.children[rng.NextBelow(a.children.size())];
+  NameSpecifier below;
+  below.AddPathValue({{a.attribute, a.value.literal()}}, child.attribute, Value::Wildcard());
+  out.push_back(below);
+
+  if (&other != &a) {
+    for (NameSpecifier mixed : {root_wild, below}) {
+      mixed.AddPath({{other.attribute, other.value.literal()}});
+      out.push_back(mixed);
+    }
+  }
+  return out;
+}
+
+class WildcardFamilyTest : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(WildcardFamilyTest, CountProofAgreesWithWalk) {
+  const auto [seed, complete] = GetParam();
+  const UniformNameParams params = complete ? kCompleteParams : kSparseParams;
+  Rng rng(seed * 7717 + (complete ? 1 : 2));
+  WildcardEngines e;
+  std::vector<LiveName> live;
+  TimePoint now{0};
+  uint32_t next_id = 1;
+  for (size_t i = 0; i < 600; ++i) {
+    const uint64_t dice = rng.NextBelow(100);
+    if (dice < 35 || live.empty()) {
+      LiveName ln;
+      ln.id = AnnouncerId{0, 0, next_id++};
+      ln.name = GenerateUniformName(rng, params);
+      ln.expires = now + Seconds(static_cast<int64_t>(20 + rng.NextBelow(200)));
+      e.Upsert(ln.name, ln.id.discriminator, ln.version, ln.expires);
+      live.push_back(ln);
+    } else if (dice < 50) {
+      LiveName& ln = live[rng.NextBelow(live.size())];
+      ln.version += 1;
+      ln.name = GenerateUniformName(rng, params);  // rename
+      e.Upsert(ln.name, ln.id.discriminator, ln.version, ln.expires);
+    } else if (dice < 58) {
+      const size_t idx = rng.NextBelow(live.size());
+      e.Remove(live[idx].id.discriminator);
+      live.erase(live.begin() + static_cast<long>(idx));
+    } else if (dice < 65) {
+      now += Seconds(static_cast<int64_t>(rng.NextBelow(60)));
+      e.Expire(now);
+      std::erase_if(live, [now](const LiveName& ln) { return ln.expires < now; });
+    } else {
+      const LiveName& ln = live[rng.NextBelow(live.size())];
+      for (const NameSpecifier& q : WildcardFamilies(rng, ln.name)) {
+        e.Compare(q, complete);
+      }
+    }
+  }
+
+  const PostingIndexStats stats = e.tree().index_stats();
+  // The count proof really served wildcard queries without a walk...
+  EXPECT_GT(stats.universal_lookups + stats.index_lookups, 0u);
+  if (complete) {
+    // ...every one of them while the tree stays schema-complete...
+    EXPECT_EQ(stats.fallback_wildcard, 0u);
+  } else {
+    // ...and sparse trees still exercised the walk fallback.
+    EXPECT_GT(stats.fallback_wildcard, 0u);
+  }
+  EXPECT_TRUE(e.tree().CheckInvariants().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedsAndSchemas, WildcardFamilyTest,
+                         ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u),
+                                            ::testing::Bool()));
+
+// A scripted sequence that flips the count proof both ways — a record
+// lacking the wildcard's attribute arrives, then leaves by remove, rename or
+// expiry — while one scratch (one plan cache) serves every lookup. Postings
+// the flipping records alone hold are erased and re-created in between, so a
+// plan served past its index version would read freed postings (ASan).
+TEST(CountProofFlipTest, PlansNeverOutliveTheirIndexVersion) {
+  WildcardEngines e;
+  const TimePoint forever = Seconds(1 << 30);
+  auto parse = [](const std::string& text) {
+    auto r = ParseNameSpecifier(text);
+    EXPECT_TRUE(r.ok()) << text;
+    return r.ok() ? *r : NameSpecifier{};
+  };
+  for (uint32_t i = 1; i <= 30; ++i) {
+    e.Upsert(parse("[a0_0=v" + std::to_string(i % 3) + "[a1_0=v" + std::to_string(i % 2) +
+                   "][a1_1=v" + std::to_string(i % 5) + "]][a0_1=v" + std::to_string(i % 4) +
+                   "]"),
+             i, 1, forever);
+  }
+  const std::vector<NameSpecifier> queries = {
+      parse("[a0_0=*]"),                    // root wildcard
+      parse("[a0_0=*][a0_1=v1]"),           // root wildcard next to a literal
+      parse("[a0_0=v1[a1_1=*]]"),           // wildcard below a literal
+      parse("[a0_0=v1[a1_1=*]][a0_1=v2]"),  // ... next to a literal
+      parse("[a0_0=v9[a1_1=*]]"),           // below a value only the flips carry
+      parse("[a0_0=v9[a1_1=*]][a0_1=v3]"),
+  };
+  auto compare_all = [&](const char* step) {
+    SCOPED_TRACE(step);
+    for (int round = 0; round < 2; ++round) {  // second round: plan-cache hits
+      for (const NameSpecifier& q : queries) {
+        e.Compare(q, /*vs_oracle=*/false);
+      }
+    }
+  };
+  auto fallbacks = [&] { return e.tree().index_stats().fallback_wildcard; };
+
+  compare_all("complete");
+  uint64_t f = fallbacks();
+  EXPECT_EQ(f, 0u);
+
+  // Root proof fails: a record without a0_0.
+  e.Upsert(parse("[a0_1=v1]"), 100, 1, forever);
+  compare_all("root proof broken");
+  EXPECT_GT(fallbacks(), f);
+  e.Remove(100);
+  f = fallbacks();
+  compare_all("root proof restored by remove");
+  EXPECT_EQ(fallbacks(), f);
+
+  // Below-literal proof fails under a0_0=v1 (and creates a0_0=v9 postings
+  // via a second record), then recovers by rename.
+  e.Upsert(parse("[a0_0=v1[a1_0=v0]][a0_1=v2]"), 101, 1, forever);
+  e.Upsert(parse("[a0_0=v9[a1_1=v0]][a0_1=v3]"), 102, 1, forever);
+  f = fallbacks();
+  compare_all("below-literal proof broken");
+  EXPECT_GT(fallbacks(), f);
+  e.Upsert(parse("[a0_0=v1[a1_0=v0][a1_1=v4]][a0_1=v2]"), 101, 2, forever);
+  f = fallbacks();
+  compare_all("below-literal proof restored by rename");
+  EXPECT_EQ(fallbacks(), f);
+
+  // The a0_0=v9 branch flips: a sibling without a1_1 arrives, then expires;
+  // then the branch's last record is removed, erasing its postings.
+  e.Upsert(parse("[a0_0=v9[a1_0=v1]][a0_1=v3]"), 103, 1, Seconds(50));
+  f = fallbacks();
+  compare_all("v9 proof broken");
+  EXPECT_GT(fallbacks(), f);
+  e.Expire(Seconds(60));
+  f = fallbacks();
+  compare_all("v9 proof restored by expiry");
+  EXPECT_EQ(fallbacks(), f);
+  e.Remove(102);
+  compare_all("v9 postings erased");
+  e.Upsert(parse("[a0_0=v9[a1_1=v2]][a0_1=v3]"), 104, 1, forever);
+  compare_all("v9 postings re-created");
+  EXPECT_EQ(fallbacks(), f);
+  EXPECT_TRUE(e.tree().CheckInvariants().ok());
+}
 
 // ---------------------------------------------------------------------------
 // Interned core vs the pre-interning string-keyed layout (baseline/

@@ -154,6 +154,35 @@ TEST(ParserTest, DeepNesting) {
   EXPECT_EQ(r->PairCount(), 50u);
 }
 
+TEST(ParserTest, NestingAtTheDepthBoundParses) {
+  std::string deep;
+  for (size_t i = 0; i < kMaxNameDepth; ++i) {
+    deep += "[a=v";
+  }
+  deep += std::string(kMaxNameDepth, ']');
+  auto r = ParseNameSpecifier(deep);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->Depth(), kMaxNameDepth);
+}
+
+TEST(ParserTest, HostileNestingHitsTheDepthBoundNotTheStack) {
+  // 100k levels would recurse 100k frames deep without the bound.
+  constexpr size_t kLevels = 100000;
+  std::string deep;
+  deep.reserve(kLevels * 5);
+  for (size_t i = 0; i < kLevels; ++i) {
+    deep += "[a=v";
+  }
+  deep += std::string(kLevels, ']');
+  auto r = ParseNameSpecifier(deep);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // The first pair past the bound opens at byte kMaxNameDepth * 4.
+  EXPECT_NE(r.status().message().find("at offset " + std::to_string(kMaxNameDepth * 4)),
+            std::string::npos)
+      << r.status();
+}
+
 TEST(ParserTest, TokensExcludeStructuralCharacters) {
   // '=' inside a would-be token splits it; the remainder fails to parse.
   EXPECT_FALSE(ParseNameSpecifier("[a=b=c]").ok());

@@ -11,8 +11,10 @@
 //   * promotion/demotion round-trips — posting lists crossing the density
 //     threshold re-encode between sorted-array and bitmap representations
 //     without changing membership, with hysteresis on the way down;
-//   * fallback equivalence — wildcard, range, and union-at-return queries
-//     take the tree walk and agree with an index-free tree exactly.
+//   * fallback equivalence — range and union-at-return queries, and
+//     wildcards over an attribute some record omits, take the tree walk and
+//     agree with an index-free tree exactly; wildcards the attribute counts
+//     prove unconstraining are served by the plan and agree just the same.
 //
 // Plus the LookupScratch retention regression: a degenerate query against a
 // large tree must not leave megabytes pinned in the thread's scratch.
@@ -339,9 +341,92 @@ TEST(PostingIndexPropertyTest, WildcardAndRangeQueriesFallBackAndAgree) {
     }
   }
   const PostingIndexStats after = with_index.index_stats();
-  EXPECT_EQ(after.fallback_wildcard - before.fallback_wildcard, 100u);
+  // Every name carries svc, so attr_count == live records proves the root
+  // [svc=*] unconstraining: served as universal, no walk.
+  EXPECT_EQ(after.universal_lookups - before.universal_lookups, 100u);
+  EXPECT_EQ(after.fallback_wildcard - before.fallback_wildcard, 0u);
   EXPECT_EQ(after.fallback_range - before.fallback_range, 100u);
   EXPECT_EQ(after.index_lookups, before.index_lookups);  // none served by lists
+}
+
+TEST(PostingIndexPropertyTest, WildcardOverPartlyAdvertisedAttributeFallsBack) {
+  // A quarter of the names lack svc: the count proof fails, so a root
+  // [svc=*] must keep the walk (it excludes exactly those names).
+  Rng rng(44);
+  NameTree with_index;
+  NameTree without(IndexOff());
+  for (uint32_t i = 1; i <= 400; ++i) {
+    NameSpecifier n;
+    if (i % 4 == 0) {
+      n.AddPath({{"unit", "u" + std::to_string(rng.NextBelow(6))}});
+    } else {
+      n.AddPath({{"svc", "s" + std::to_string(rng.NextBelow(6))},
+                 {"load", std::to_string(rng.NextBelow(100))}});
+    }
+    NameRecord rec = MakeRecord(i);
+    with_index.Upsert(n, rec);
+    without.Upsert(n, rec);
+  }
+
+  const PostingIndexStats before = with_index.index_stats();
+  NameSpecifier wild;
+  wild.AddPathValue({}, "svc", Value::Wildcard());
+  for (int q = 0; q < 100; ++q) {
+    const CompiledName ci = CompiledName::ForQuery(wild, with_index.symbols());
+    const CompiledName co = CompiledName::ForQuery(wild, without.symbols());
+    const std::set<std::string> got = Announcers(with_index.Lookup(ci));
+    EXPECT_EQ(got.size(), 300u);
+    EXPECT_EQ(got, Announcers(without.Lookup(co)));
+    EXPECT_EQ(got, Announcers(with_index.LookupTreeWalk(ci)));
+  }
+  const PostingIndexStats after = with_index.index_stats();
+  EXPECT_EQ(after.fallback_wildcard - before.fallback_wildcard, 100u);
+  EXPECT_EQ(after.universal_lookups, before.universal_lookups);
+}
+
+TEST(PostingIndexPropertyTest, WildcardBelowLiteralServedByCountProof) {
+  // [svc=s[load=*]][unit=u1]: under s0 every record carries load, so the
+  // wildcard's union is Sub(svc=s0) and the plan intersects postings; under
+  // s1 one record carries zone instead of load, so the walk must run (and
+  // exclude that record).
+  NameTree with_index;
+  NameTree without(IndexOff());
+  for (uint32_t i = 1; i <= 60; ++i) {
+    NameSpecifier n;
+    const std::string svc = "s" + std::to_string(i % 2);
+    if (i == 7) {
+      n.AddPath({{"svc", svc}, {"zone", "z1"}});  // s1 record without load
+    } else {
+      n.AddPath({{"svc", svc}, {"load", std::to_string(i % 5)}});
+    }
+    n.AddPath({{"unit", "u" + std::to_string(i % 3)}});
+    NameRecord rec = MakeRecord(i);
+    with_index.Upsert(n, rec);
+    without.Upsert(n, rec);
+  }
+  auto run = [&](const std::string& svc) {
+    NameSpecifier q;
+    q.AddPathValue({{"svc", svc}}, "load", Value::Wildcard());
+    q.AddPath({{"unit", "u1"}});
+    const CompiledName ci = CompiledName::ForQuery(q, with_index.symbols());
+    const std::set<std::string> got = Announcers(with_index.Lookup(ci));
+    EXPECT_EQ(got, Announcers(without.Lookup(CompiledName::ForQuery(q, without.symbols()))))
+        << q.ToString();
+    EXPECT_EQ(got, Announcers(with_index.LookupTreeWalk(ci))) << q.ToString();
+    return got.size();
+  };
+
+  PostingIndexStats before = with_index.index_stats();
+  EXPECT_EQ(run("s0"), 10u);  // even i in [1, 60] with i % 3 == 1
+  PostingIndexStats after = with_index.index_stats();
+  EXPECT_EQ(after.index_lookups - before.index_lookups, 1u);
+  EXPECT_EQ(after.fallback_wildcard, before.fallback_wildcard);
+
+  before = after;
+  EXPECT_EQ(run("s1"), 9u);  // odd i with i % 3 == 1, minus i == 7
+  after = with_index.index_stats();
+  EXPECT_EQ(after.fallback_wildcard - before.fallback_wildcard, 1u);
+  EXPECT_EQ(after.index_lookups, before.index_lookups);
 }
 
 TEST(PostingIndexPropertyTest, UnionAtReturnQueriesFallBackAndAgree) {
