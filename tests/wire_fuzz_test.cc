@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <string_view>
+
 #include "ins/name/parser.h"
 #include "ins/wire/messages.h"
 #include "ins/workload/namegen.h"
@@ -331,6 +335,153 @@ TEST(WireCorruptionSweepTest, EveryTruncationOfEveryMessageTypeIsRejected) {
       auto result = DecodeMessage(truncated);
       EXPECT_FALSE(result.ok()) << "truncation to " << len << " decoded";
     }
+  }
+}
+
+// --- Golden bytes -------------------------------------------------------------
+//
+// The exact encoding of every specimen above, as hex. Round-trip tests cannot
+// notice a codec that drifts symmetrically on both sides; these bytes can.
+// They were recorded once from the hand-written codec and pin the wire format
+// (perfbench also reads fixed offsets out of kData and EarlyBindingResponse
+// datagrams). A codec change must reproduce them; never regenerate them.
+
+const char* const kGoldenSpecimenHex[] = {
+    // Packet
+    "010000006e01000008000000000000000000140022006b006e5b736572766963653d66757a7a5d5b"
+    "726f6f6d3d3534375d5b736572766963653d73656e736f725b69643d6e31323434365d5d5b78303d"
+    "793237365d5b78313d793534305d5b78323d793634385d5b78333d793430345d01020314465888",
+    // Advertisement
+    "02000176004a5b726f6f6d3d3530395d5b736572766963653d7072696e7465725b69643d6e333934"
+    "35355d5d5b78303d793832375d5b78313d793837345d5b78323d793936365d5b78333d793230355d"
+    "000000070000000000000008000000090a000003162e000100500004687474700000000000000000"
+    "0000002d000000000000000012c1751b",
+    // NameUpdate
+    "0300086275696c64696e6700000200485b726f6f6d3d3439325d5b736572766963653d63616d6572"
+    "615b69643d6e37383639365d5d5b78303d793936385d5b78313d793631325d5b78323d7937315d5b"
+    "78333d793337345d000000010000000000000002000000000a000003162e0001022a000472747370"
+    "000000000000000000000000000000000000002d000000000000000000495b726f6f6d3d3434355d"
+    "5b736572766963653d73656e736f725b69643d6e37373630355d5d5b78303d793532385d5b78313d"
+    "793931355d5b78323d793836355d5b78333d793235375d000000010000000000000002000000010a"
+    "000003162e0001022a000472747370000000000000000000000000000000000000002d0000000000"
+    "0000008209394b",
+    // DiscoveryRequest
+    "040000000000000005000363616d00105b736572766963653d63616d6572615d0a000009162ecb1c"
+    "0e02",
+    // DiscoveryResponse
+    "050000000000000005000363616d000100175b736572766963653d63616d6572615b69643d63315d"
+    "5d0a000004162e0001022a0004727473703ff80000000000008e7707f3",
+    // EarlyBindingResponse
+    "06000000000000000600010a000004162e000100500004687474703fe0000000000000a83bd302",
+    // Ping
+    "07000000000000002a000000000001e240506a8391",
+    // Pong
+    "08000000000000002a000000000001e2406455f9e8",
+    // PeerRequest
+    "090a000001162e38f92ae1",
+    // PeerAccept
+    "0a0a000002162ee76c4a1d",
+    // PeerClose
+    "0b0a000003162e586a20e9",
+    // DsrRegister
+    "0c0a000004162e0100020001610001620000003cb34d165b",
+    // DsrListRequest
+    "0d000000000000000b27bfbcf9",
+    // DsrListResponse
+    "0e000000000000000b00020a000001162e0a000002162e0002000000000000000100000000000000"
+    "0215686f24",
+    // DsrVspaceRequest
+    "0f000000000000000c000363616d876a0f76",
+    // DsrVspaceResponse
+    "10000000000000000c000363616d0a000002162ef6551535",
+    // DsrCandidatesRequest
+    "11000000000000000dc128d81b",
+    // DsrCandidatesResponse
+    "12000000000000000d00010a000007162e60a8832e",
+    // SpawnRequest
+    "130a000001162e0001000363616d1bcb1130",
+    // DelegateVspace
+    "140a000001162e000363616d7e2767be",
+    // DsrAssignmentsRequest
+    "15000000000000000e0a000002162ea6fa78ea",
+    // DsrAssignmentsResponse
+    "16000000000000000e0002000363616d00086275696c64696e6702f31a17",
+    // PeerKeepalive
+    "170a000003162ec70b4db5",
+    // MetricsRequest
+    "18000000000000000f0a000009162e6a9c5eb7",
+    // MetricsResponse
+    "19000000000000000f0a000001162e00020012666f7277617264696e672e7061636b657473000000"
+    "000000007b0018666f7277617264696e672e64726f702e6e6f5f6d61746368000000000000000400"
+    "020009696e722e6e616d65730000000000000011001061646d697373696f6e2e6c61675f7573ffff"
+    "ffffffffffff00010014666f7277617264696e672e6c6f6f6b75705f757300000000000003840000"
+    "00000000006400000000000001f402070000000000000002090000000000000001ff63f3bd",
+    // JournalDigest
+    "1a0a000001162e00020000000000000000002a000363616d0000000000000007f4d9be55",
+    // JournalDeltaRequest
+    "1b0a000002162e000363616d000000000000000700285292c5",
+    // JournalDeltaResponse
+    "1c0a000001162e000363616d00000000000000002a000000000100020000485b726f6f6d3d353438"
+    "5d5b736572766963653d73656e736f725b69643d6e37373836305d5d5b78303d793935345d5b7831"
+    "3d793930315d5b78323d793330315d5b78333d7935315d000000010000000000000002000000030a"
+    "000004162e0001022a0004727473703ff8000000000000400a0000000000000000002d0000000000"
+    "00000901000000000001000000000000000200000004000000000000000000000000000000000000"
+    "0000000000000000000000000000000000001d8bd01f",
+    // DsrReplicaSetRequest
+    "1d8000000000000010000363616de69e0848",
+    // DsrReplicaSetResponse
+    "1e0000000000000010000363616d00020a000001162e0a000002162e00010a000003162e839af2b4",
+    // ReplicaInvite
+    "1f0a000001162e000363616dce58d891",
+    // DsrDeadInrReport
+    "200a000002162e0a000001162e53263746",
+    // MetricsDeltaRequest
+    "2140000000000000050a000009162e0000000000000011c2e50015",
+    // MetricsDeltaResponse
+    "2200000000000000050a000001162e000000000000001200000000000000110000020014666f7277"
+    "617264696e672e64656c6976657265640000000000000029000f6c6f6f6b75702e72657175657374"
+    "7300000000000003ea00010012746f706f6c6f67792e6e65696768626f7273000000000000000300"
+    "0100146c6174656e63792e73746167652e6c6f6f6b757000000000000004d2000000000000005000"
+    "000000000002bc02060000000000000003080000000000000002469aff58",
+    // traced Packet
+    "0100000076010800080000000000000000001c002a00730076deadbeefcafef00d5b736572766963"
+    "653d66757a7a5d5b726f6f6d3d3534375d5b736572766963653d73656e736f725b69643d6e313234"
+    "34365d5d5b78303d793237365d5b78313d793534305d5b78323d793634385d5b78333d793430345d"
+    "01020308d0c431",
+};
+
+std::string ToHex(const Bytes& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  hex.reserve(bytes.size() * 2);
+  for (uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xf]);
+  }
+  return hex;
+}
+
+Bytes FromHex(std::string_view hex) {
+  Bytes bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(WireGoldenTest, EverySpecimenEncodesToThePinnedBytes) {
+  std::vector<Bytes> specimens = EncodedSpecimens();
+  ASSERT_EQ(specimens.size(), std::size(kGoldenSpecimenHex));
+  for (size_t i = 0; i < specimens.size(); ++i) {
+    EXPECT_EQ(ToHex(specimens[i]), kGoldenSpecimenHex[i]) << "specimen " << i;
+  }
+}
+
+TEST(WireGoldenTest, PinnedBytesDecodeAndReencodeIdentically) {
+  for (const char* hex : kGoldenSpecimenHex) {
+    auto decoded = DecodeMessage(FromHex(hex));
+    ASSERT_TRUE(decoded.ok()) << hex << ": " << decoded.status();
+    EXPECT_EQ(ToHex(EncodeMessage(*decoded)), hex);
   }
 }
 
