@@ -103,6 +103,13 @@ Result<Bytes> ByteReader::ReadBytes(size_t len) {
   return b;
 }
 
+Result<std::span<const uint8_t>> ByteReader::ReadSpan(size_t len) {
+  INS_RETURN_IF_ERROR(CheckAvailable(len));
+  std::span<const uint8_t> view(data_ + pos_, len);
+  pos_ += len;
+  return view;
+}
+
 Status ByteReader::SeekTo(size_t offset) {
   if (offset > len_) {
     return OutOfRangeError("seek past end: " + std::to_string(offset) + " > " +

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +61,8 @@ class ByteReader {
   Result<std::string> ReadString();
   // Reads exactly `len` raw bytes.
   Result<Bytes> ReadBytes(size_t len);
+  // Skips exactly `len` bytes and returns a view of them (no copy).
+  Result<std::span<const uint8_t>> ReadSpan(size_t len);
 
   // Moves the cursor to an absolute offset (for header pointer fields).
   Status SeekTo(size_t offset);

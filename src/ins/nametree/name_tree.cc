@@ -156,35 +156,8 @@ void NameTree::Graft(ValueNode* parent, const CompiledName& name, uint32_t begin
     if (n.child_count == 0) {
       tv->records.push_back(rec);
       rec->terminals_.push_back(tv);
-      if (options_.cache_subtree_records) {
-        AddToAncestorCaches(tv, rec);
-      }
     } else {
       Graft(tv, name, n.child_begin, n.child_count, rec, child_fp);
-    }
-  }
-}
-
-void NameTree::AddToAncestorCaches(ValueNode* leaf, const NameRecord* rec) {
-  for (ValueNode* v = leaf; v != nullptr;
-       v = v->parent_attr != nullptr ? v->parent_attr->parent : nullptr) {
-    auto& cache = v->subtree_cache;
-    cache.insert(std::upper_bound(cache.begin(), cache.end(), rec), rec);
-    if (v == &root_) {
-      break;
-    }
-  }
-}
-
-void NameTree::RemoveFromAncestorCaches(ValueNode* leaf, const NameRecord* rec) {
-  for (ValueNode* v = leaf; v != nullptr;
-       v = v->parent_attr != nullptr ? v->parent_attr->parent : nullptr) {
-    auto& cache = v->subtree_cache;
-    auto it = std::lower_bound(cache.begin(), cache.end(), rec);
-    assert(it != cache.end() && *it == rec);
-    cache.erase(it);
-    if (v == &root_) {
-      break;
     }
   }
 }
@@ -234,9 +207,6 @@ void NameTree::Ungraft(NameRecord* rec) {
     auto it = std::find(tv->records.begin(), tv->records.end(), rec);
     assert(it != tv->records.end());
     tv->records.erase(it);
-    if (options_.cache_subtree_records) {
-      RemoveFromAncestorCaches(tv, rec);
-    }
     PruneUpward(tv);
   }
   rec->terminals_.clear();
@@ -313,10 +283,6 @@ NameTree::UpsertOutcome NameTree::Upsert(const NameSpecifier& name,
 
 void NameTree::SubtreeRecords(const ValueNode* node,
                               std::vector<const NameRecord*>* out) const {
-  if (options_.cache_subtree_records) {
-    out->insert(out->end(), node->subtree_cache.begin(), node->subtree_cache.end());
-    return;
-  }
   out->insert(out->end(), node->records.begin(), node->records.end());
   node->attributes.ForEach([&](SymbolId, const std::unique_ptr<AttributeNode>& child) {
     SubtreeRecords(child.get(), out);
@@ -709,8 +675,7 @@ NameTree::Stats NameTree::ComputeStats() const {
   std::function<void(const ValueNode&)> walk_value = [&](const ValueNode& v) {
     st.value_nodes += 1;
     st.bytes += sizeof(ValueNode) + v.attributes.MemoryBytes() +
-                v.records.capacity() * sizeof(NameRecord*) +
-                v.subtree_cache.capacity() * sizeof(const NameRecord*);
+                v.records.capacity() * sizeof(NameRecord*);
     v.attributes.ForEach([&](SymbolId, const std::unique_ptr<AttributeNode>& child) {
       st.attribute_nodes += 1;
       st.bytes += sizeof(AttributeNode) + child->values.MemoryBytes();
@@ -832,29 +797,6 @@ Status NameTree::CheckInvariants() const {
           return;
         }
         seen[grandchild.get()] = grandchild->records.size();
-        if (options_.cache_subtree_records) {
-          if (!std::is_sorted(grandchild->subtree_cache.begin(),
-                              grandchild->subtree_cache.end())) {
-            result = InternalError("subtree cache not sorted at " + val);
-            return;
-          }
-          std::vector<const NameRecord*> expected;
-          // Collect terminals the slow way and compare as multisets.
-          std::function<void(const ValueNode&)> gather = [&](const ValueNode& node) {
-            expected.insert(expected.end(), node.records.begin(), node.records.end());
-            node.attributes.ForEach(
-                [&](SymbolId, const std::unique_ptr<AttributeNode>& c2) {
-                  c2->values.ForEach(
-                      [&](SymbolId, const std::unique_ptr<ValueNode>& g2) { gather(*g2); });
-                });
-          };
-          gather(*grandchild);
-          std::sort(expected.begin(), expected.end());
-          if (expected != grandchild->subtree_cache) {
-            result = InternalError("subtree cache out of sync at " + val);
-            return;
-          }
-        }
         result = walk(*grandchild);
       });
     });

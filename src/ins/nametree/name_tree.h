@@ -55,14 +55,6 @@ namespace ins {
 class NameTree {
  public:
   struct Options {
-    // Figure 4's caption describes value-nodes containing "pointers to all
-    // the name-records they correspond to". When enabled, every value-node
-    // maintains a sorted cache of the records in its subtree, kept
-    // incrementally on graft/ungraft: lookups intersect the cached lists
-    // instead of collecting subtrees on the fly (faster lookups, slower
-    // updates, more memory — quantified in bench_ablation_subtree_cache).
-    // The default (off) collects on demand.
-    bool cache_subtree_records = false;
     // Intern table for attribute/value tokens. Null (the default): the tree
     // owns a private table. ShardedNameTree passes one shared table to every
     // shard and both left-right sides, so a name compiled once is valid
@@ -302,10 +294,6 @@ class NameTree {
     SymbolMap<std::unique_ptr<AttributeNode>> attributes;
     // Records whose specifier has a leaf ending at this value-node.
     std::vector<NameRecord*> records;
-    // With Options::cache_subtree_records: every record in this subtree,
-    // sorted by pointer, one entry per terminal (duplicates possible when a
-    // record has several leaves below this node).
-    std::vector<const NameRecord*> subtree_cache;
   };
 
   // A sorted set of record pointers, or "the universal set" before the first
@@ -344,9 +332,6 @@ class NameTree {
                    uint32_t count, CandidateSet* s, LookupScratch* scratch) const;
   void SubtreeRecords(const ValueNode* node, std::vector<const NameRecord*>* out) const;
   void SubtreeRecords(const AttributeNode* node, std::vector<const NameRecord*>* out) const;
-  // Adds/removes one cache entry for `rec` on every ancestor of `leaf`.
-  void AddToAncestorCaches(ValueNode* leaf, const NameRecord* rec);
-  void RemoveFromAncestorCaches(ValueNode* leaf, const NameRecord* rec);
 
   // Pushes a (deadline, id) entry when a record's expiry is set or extended.
   // Entries are never erased in place; ExpireBefore pops lazily and skips

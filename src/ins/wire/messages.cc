@@ -1,832 +1,368 @@
 #include "ins/wire/messages.h"
 
+#include <array>
 #include <bit>
-#include <cstring>
+#include <concepts>
+#include <type_traits>
+#include <utility>
 
 namespace ins {
 
 namespace {
 
-// Doubles travel as their IEEE-754 bit pattern.
-void WriteDouble(ByteWriter& w, double v) { w.WriteU64(std::bit_cast<uint64_t>(v)); }
+// --- The codec ---------------------------------------------------------------
+//
+// Every message and every sub-encoding states its layout once, as a field
+// list: `Fields(ar, m)` calls `ar(m.a, m.b, ...)` in wire order. Two archives
+// walk the lists: Writer appends to a ByteWriter; Reader fills from a
+// ByteReader and stops at the first error. A field's wire kind follows from
+// its C++ type:
+//   uint8/16/32/64_t   big-endian at their width
+//   bool               u8 (any non-zero reads as true)
+//   double, int64_t    the 64-bit pattern as a u64
+//   std::string        u16 length + bytes
+//   std::vector<T>     u16 count + the elements (U8List: u8 count)
+//   Packet             u32 length + the Figure-10 layout (packet.cc)
+//   anything else      its own field list
 
-Result<double> ReadDouble(ByteReader& r) {
-  auto bits = r.ReadU64();
-  if (!bits.ok()) {
-    return bits.status();
+// A list whose count travels as a u8 instead of a u16.
+template <class V>
+struct U8List {
+  V& items;
+};
+template <class V>
+U8List(V&) -> U8List<V>;
+
+// Matches T and const T, so one field list serves both archives.
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+class Writer {
+ public:
+  explicit Writer(ByteWriter& w) : w_(w) {}
+
+  template <class... Fs>
+  void operator()(const Fs&... fs) {
+    (Write(fs), ...);
   }
-  return std::bit_cast<double>(*bits);
-}
+  // Cross-field rules constrain decoding only.
+  void Check(bool, const char*) {}
 
-void WriteAddress(ByteWriter& w, const NodeAddress& a) {
-  w.WriteU32(a.ip);
-  w.WriteU16(a.port);
-}
-
-Result<NodeAddress> ReadAddress(ByteReader& r) {
-  NodeAddress a;
-  INS_ASSIGN_OR_RETURN(a.ip, r.ReadU32());
-  INS_ASSIGN_OR_RETURN(a.port, r.ReadU16());
-  return a;
-}
-
-void WriteAnnouncer(ByteWriter& w, const AnnouncerId& id) {
-  w.WriteU32(id.ip);
-  w.WriteU64(id.start_time_us);
-  w.WriteU32(id.discriminator);
-}
-
-Result<AnnouncerId> ReadAnnouncer(ByteReader& r) {
-  AnnouncerId id;
-  INS_ASSIGN_OR_RETURN(id.ip, r.ReadU32());
-  INS_ASSIGN_OR_RETURN(id.start_time_us, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(id.discriminator, r.ReadU32());
-  return id;
-}
-
-void WriteEndpoint(ByteWriter& w, const EndpointInfo& e) {
-  WriteAddress(w, e.address);
-  w.WriteU16(static_cast<uint16_t>(e.bindings.size()));
-  for (const PortBinding& b : e.bindings) {
-    w.WriteU16(b.port);
-    w.WriteString(b.transport);
+ private:
+  void Write(uint8_t v) { w_.WriteU8(v); }
+  void Write(uint16_t v) { w_.WriteU16(v); }
+  void Write(uint32_t v) { w_.WriteU32(v); }
+  void Write(uint64_t v) { w_.WriteU64(v); }
+  void Write(bool v) { w_.WriteU8(v ? 1 : 0); }
+  void Write(int64_t v) { w_.WriteU64(static_cast<uint64_t>(v)); }
+  void Write(double v) { w_.WriteU64(std::bit_cast<uint64_t>(v)); }
+  void Write(const std::string& s) { w_.WriteString(s); }
+  void Write(const Packet& p) {
+    w_.WriteU32(static_cast<uint32_t>(p.EncodedSize()));
+    EncodePacket(p, w_);
   }
-}
-
-Result<EndpointInfo> ReadEndpoint(ByteReader& r) {
-  EndpointInfo e;
-  INS_ASSIGN_OR_RETURN(e.address, ReadAddress(r));
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  e.bindings.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    PortBinding b;
-    INS_ASSIGN_OR_RETURN(b.port, r.ReadU16());
-    INS_ASSIGN_OR_RETURN(b.transport, r.ReadString());
-    e.bindings.push_back(std::move(b));
+  template <class T>
+  void Write(const std::vector<T>& v) {
+    WriteList<uint16_t>(v);
   }
-  return e;
-}
-
-void WriteAddressList(ByteWriter& w, const std::vector<NodeAddress>& v) {
-  w.WriteU16(static_cast<uint16_t>(v.size()));
-  for (const NodeAddress& a : v) {
-    WriteAddress(w, a);
+  template <class V>
+  void Write(const U8List<V>& list) {
+    WriteList<uint8_t>(list.items);
   }
-}
-
-Result<std::vector<NodeAddress>> ReadAddressList(ByteReader& r) {
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  std::vector<NodeAddress> v;
-  v.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    NodeAddress a;
-    INS_ASSIGN_OR_RETURN(a, ReadAddress(r));
-    v.push_back(a);
+  template <class T>
+  void Write(const T& record) {
+    Fields(*this, record);
   }
-  return v;
-}
 
-void WriteStringList(ByteWriter& w, const std::vector<std::string>& v) {
-  w.WriteU16(static_cast<uint16_t>(v.size()));
-  for (const std::string& s : v) {
-    w.WriteString(s);
-  }
-}
-
-Result<std::vector<std::string>> ReadStringList(ByteReader& r) {
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  std::vector<std::string> v;
-  v.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    std::string s;
-    INS_ASSIGN_OR_RETURN(s, r.ReadString());
-    v.push_back(std::move(s));
-  }
-  return v;
-}
-
-// --- Per-type body codecs ---------------------------------------------------
-
-void EncodeBody(ByteWriter& w, const Packet& p) {
-  Bytes encoded = EncodePacket(p);
-  w.WriteU32(static_cast<uint32_t>(encoded.size()));
-  w.WriteBytes(encoded);
-}
-
-Result<Packet> DecodePacketBody(ByteReader& r) {
-  uint32_t len = 0;
-  INS_ASSIGN_OR_RETURN(len, r.ReadU32());
-  Bytes raw;
-  INS_ASSIGN_OR_RETURN(raw, r.ReadBytes(len));
-  return DecodePacket(raw);
-}
-
-void EncodeBody(ByteWriter& w, const Advertisement& a) {
-  w.WriteString(a.vspace);
-  w.WriteString(a.name_text);
-  WriteAnnouncer(w, a.announcer);
-  WriteEndpoint(w, a.endpoint);
-  WriteDouble(w, a.app_metric);
-  w.WriteU32(a.lifetime_s);
-  w.WriteU64(a.version);
-}
-
-Result<Advertisement> DecodeAdvertisement(ByteReader& r) {
-  Advertisement a;
-  INS_ASSIGN_OR_RETURN(a.vspace, r.ReadString());
-  INS_ASSIGN_OR_RETURN(a.name_text, r.ReadString());
-  INS_ASSIGN_OR_RETURN(a.announcer, ReadAnnouncer(r));
-  INS_ASSIGN_OR_RETURN(a.endpoint, ReadEndpoint(r));
-  INS_ASSIGN_OR_RETURN(a.app_metric, ReadDouble(r));
-  INS_ASSIGN_OR_RETURN(a.lifetime_s, r.ReadU32());
-  INS_ASSIGN_OR_RETURN(a.version, r.ReadU64());
-  return a;
-}
-
-void EncodeBody(ByteWriter& w, const NameUpdate& u) {
-  w.WriteString(u.vspace);
-  w.WriteU8(u.triggered ? 1 : 0);
-  w.WriteU16(static_cast<uint16_t>(u.entries.size()));
-  for (const NameUpdateEntry& e : u.entries) {
-    w.WriteString(e.name_text);
-    WriteAnnouncer(w, e.announcer);
-    WriteEndpoint(w, e.endpoint);
-    WriteDouble(w, e.app_metric);
-    WriteDouble(w, e.route_metric);
-    w.WriteU32(e.lifetime_s);
-    w.WriteU64(e.version);
-  }
-}
-
-Result<NameUpdate> DecodeNameUpdate(ByteReader& r) {
-  NameUpdate u;
-  INS_ASSIGN_OR_RETURN(u.vspace, r.ReadString());
-  uint8_t trig = 0;
-  INS_ASSIGN_OR_RETURN(trig, r.ReadU8());
-  u.triggered = trig != 0;
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  u.entries.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    NameUpdateEntry e;
-    INS_ASSIGN_OR_RETURN(e.name_text, r.ReadString());
-    INS_ASSIGN_OR_RETURN(e.announcer, ReadAnnouncer(r));
-    INS_ASSIGN_OR_RETURN(e.endpoint, ReadEndpoint(r));
-    INS_ASSIGN_OR_RETURN(e.app_metric, ReadDouble(r));
-    INS_ASSIGN_OR_RETURN(e.route_metric, ReadDouble(r));
-    INS_ASSIGN_OR_RETURN(e.lifetime_s, r.ReadU32());
-    INS_ASSIGN_OR_RETURN(e.version, r.ReadU64());
-    u.entries.push_back(std::move(e));
-  }
-  return u;
-}
-
-void EncodeBody(ByteWriter& w, const DiscoveryRequest& d) {
-  w.WriteU64(d.request_id);
-  w.WriteString(d.vspace);
-  w.WriteString(d.filter_text);
-  WriteAddress(w, d.reply_to);
-}
-
-Result<DiscoveryRequest> DecodeDiscoveryRequest(ByteReader& r) {
-  DiscoveryRequest d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  INS_ASSIGN_OR_RETURN(d.filter_text, r.ReadString());
-  INS_ASSIGN_OR_RETURN(d.reply_to, ReadAddress(r));
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DiscoveryResponse& d) {
-  w.WriteU64(d.request_id);
-  w.WriteString(d.vspace);
-  w.WriteU16(static_cast<uint16_t>(d.items.size()));
-  for (const DiscoveryResponse::Item& it : d.items) {
-    w.WriteString(it.name_text);
-    WriteEndpoint(w, it.endpoint);
-    WriteDouble(w, it.app_metric);
-  }
-}
-
-Result<DiscoveryResponse> DecodeDiscoveryResponse(ByteReader& r) {
-  DiscoveryResponse d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  d.items.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    DiscoveryResponse::Item it;
-    INS_ASSIGN_OR_RETURN(it.name_text, r.ReadString());
-    INS_ASSIGN_OR_RETURN(it.endpoint, ReadEndpoint(r));
-    INS_ASSIGN_OR_RETURN(it.app_metric, ReadDouble(r));
-    d.items.push_back(std::move(it));
-  }
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const EarlyBindingResponse& e) {
-  w.WriteU64(e.request_id);
-  w.WriteU16(static_cast<uint16_t>(e.items.size()));
-  for (const EarlyBindingResponse::Item& it : e.items) {
-    WriteEndpoint(w, it.endpoint);
-    WriteDouble(w, it.app_metric);
-  }
-}
-
-Result<EarlyBindingResponse> DecodeEarlyBindingResponse(ByteReader& r) {
-  EarlyBindingResponse e;
-  INS_ASSIGN_OR_RETURN(e.request_id, r.ReadU64());
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  e.items.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    EarlyBindingResponse::Item it;
-    INS_ASSIGN_OR_RETURN(it.endpoint, ReadEndpoint(r));
-    INS_ASSIGN_OR_RETURN(it.app_metric, ReadDouble(r));
-    e.items.push_back(std::move(it));
-  }
-  return e;
-}
-
-void EncodeBody(ByteWriter& w, const Ping& p) {
-  w.WriteU64(p.nonce);
-  w.WriteU64(p.send_time_us);
-}
-
-Result<Ping> DecodePing(ByteReader& r) {
-  Ping p;
-  INS_ASSIGN_OR_RETURN(p.nonce, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(p.send_time_us, r.ReadU64());
-  return p;
-}
-
-void EncodeBody(ByteWriter& w, const Pong& p) {
-  w.WriteU64(p.nonce);
-  w.WriteU64(p.echo_send_time_us);
-}
-
-Result<Pong> DecodePong(ByteReader& r) {
-  Pong p;
-  INS_ASSIGN_OR_RETURN(p.nonce, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(p.echo_send_time_us, r.ReadU64());
-  return p;
-}
-
-void EncodeBody(ByteWriter& w, const PeerRequest& p) { WriteAddress(w, p.requester); }
-void EncodeBody(ByteWriter& w, const PeerAccept& p) { WriteAddress(w, p.accepter); }
-void EncodeBody(ByteWriter& w, const PeerClose& p) { WriteAddress(w, p.closer); }
-
-void EncodeBody(ByteWriter& w, const DsrRegister& d) {
-  WriteAddress(w, d.inr);
-  w.WriteU8(d.active ? 1 : 0);
-  WriteStringList(w, d.vspaces);
-  w.WriteU32(d.lifetime_s);
-}
-
-Result<DsrRegister> DecodeDsrRegister(ByteReader& r) {
-  DsrRegister d;
-  INS_ASSIGN_OR_RETURN(d.inr, ReadAddress(r));
-  uint8_t active = 0;
-  INS_ASSIGN_OR_RETURN(active, r.ReadU8());
-  d.active = active != 0;
-  INS_ASSIGN_OR_RETURN(d.vspaces, ReadStringList(r));
-  INS_ASSIGN_OR_RETURN(d.lifetime_s, r.ReadU32());
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrListRequest& d) { w.WriteU64(d.request_id); }
-
-void EncodeBody(ByteWriter& w, const DsrListResponse& d) {
-  w.WriteU64(d.request_id);
-  WriteAddressList(w, d.active_inrs);
-  w.WriteU16(static_cast<uint16_t>(d.join_orders.size()));
-  for (uint64_t order : d.join_orders) {
-    w.WriteU64(order);
-  }
-}
-
-Result<DsrListResponse> DecodeDsrListResponse(ByteReader& r) {
-  DsrListResponse d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.active_inrs, ReadAddressList(r));
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  if (n != d.active_inrs.size()) {
-    return InvalidArgumentError("join_orders/active_inrs length mismatch");
-  }
-  d.join_orders.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    uint64_t order = 0;
-    INS_ASSIGN_OR_RETURN(order, r.ReadU64());
-    d.join_orders.push_back(order);
-  }
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrVspaceRequest& d) {
-  w.WriteU64(d.request_id);
-  w.WriteString(d.vspace);
-}
-
-Result<DsrVspaceRequest> DecodeDsrVspaceRequest(ByteReader& r) {
-  DsrVspaceRequest d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrVspaceResponse& d) {
-  w.WriteU64(d.request_id);
-  w.WriteString(d.vspace);
-  WriteAddress(w, d.inr);
-}
-
-Result<DsrVspaceResponse> DecodeDsrVspaceResponse(ByteReader& r) {
-  DsrVspaceResponse d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  INS_ASSIGN_OR_RETURN(d.inr, ReadAddress(r));
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrCandidatesRequest& d) { w.WriteU64(d.request_id); }
-
-void EncodeBody(ByteWriter& w, const DsrCandidatesResponse& d) {
-  w.WriteU64(d.request_id);
-  WriteAddressList(w, d.candidates);
-}
-
-Result<DsrCandidatesResponse> DecodeDsrCandidatesResponse(ByteReader& r) {
-  DsrCandidatesResponse d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.candidates, ReadAddressList(r));
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const SpawnRequest& s) {
-  WriteAddress(w, s.requester);
-  WriteStringList(w, s.vspaces);
-}
-
-Result<SpawnRequest> DecodeSpawnRequest(ByteReader& r) {
-  SpawnRequest s;
-  INS_ASSIGN_OR_RETURN(s.requester, ReadAddress(r));
-  INS_ASSIGN_OR_RETURN(s.vspaces, ReadStringList(r));
-  return s;
-}
-
-void EncodeBody(ByteWriter& w, const DelegateVspace& d) {
-  WriteAddress(w, d.from);
-  w.WriteString(d.vspace);
-}
-
-Result<DelegateVspace> DecodeDelegateVspace(ByteReader& r) {
-  DelegateVspace d;
-  INS_ASSIGN_OR_RETURN(d.from, ReadAddress(r));
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrAssignmentsRequest& d) {
-  w.WriteU64(d.request_id);
-  WriteAddress(w, d.inr);
-}
-
-Result<DsrAssignmentsRequest> DecodeDsrAssignmentsRequest(ByteReader& r) {
-  DsrAssignmentsRequest d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.inr, ReadAddress(r));
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrAssignmentsResponse& d) {
-  w.WriteU64(d.request_id);
-  WriteStringList(w, d.vspaces);
-}
-
-Result<DsrAssignmentsResponse> DecodeDsrAssignmentsResponse(ByteReader& r) {
-  DsrAssignmentsResponse d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.vspaces, ReadStringList(r));
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const PeerKeepalive& p) { WriteAddress(w, p.from); }
-
-void EncodeBody(ByteWriter& w, const JournalDigest& d) {
-  WriteAddress(w, d.from);
-  w.WriteU16(static_cast<uint16_t>(d.items.size()));
-  for (const JournalDigest::Item& it : d.items) {
-    w.WriteString(it.vspace);
-    w.WriteU64(it.serial);
-  }
-}
-
-Result<JournalDigest> DecodeJournalDigest(ByteReader& r) {
-  JournalDigest d;
-  INS_ASSIGN_OR_RETURN(d.from, ReadAddress(r));
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  d.items.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    JournalDigest::Item it;
-    INS_ASSIGN_OR_RETURN(it.vspace, r.ReadString());
-    INS_ASSIGN_OR_RETURN(it.serial, r.ReadU64());
-    d.items.push_back(std::move(it));
-  }
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const JournalDeltaRequest& d) {
-  WriteAddress(w, d.from);
-  w.WriteString(d.vspace);
-  w.WriteU64(d.after_serial);
-  w.WriteU8(d.full ? 1 : 0);
-}
-
-Result<JournalDeltaRequest> DecodeJournalDeltaRequest(ByteReader& r) {
-  JournalDeltaRequest d;
-  INS_ASSIGN_OR_RETURN(d.from, ReadAddress(r));
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  INS_ASSIGN_OR_RETURN(d.after_serial, r.ReadU64());
-  uint8_t full = 0;
-  INS_ASSIGN_OR_RETURN(full, r.ReadU8());
-  d.full = full != 0;
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const JournalDeltaResponse& d) {
-  WriteAddress(w, d.from);
-  w.WriteString(d.vspace);
-  w.WriteU8(d.snapshot ? 1 : 0);
-  w.WriteU64(d.to_serial);
-  w.WriteU32(d.seq);
-  w.WriteU8(d.last ? 1 : 0);
-  w.WriteU16(static_cast<uint16_t>(d.entries.size()));
-  for (const JournalDeltaResponse::Entry& e : d.entries) {
-    w.WriteU8(e.op);
-    w.WriteString(e.name_text);
-    WriteAnnouncer(w, e.announcer);
-    WriteEndpoint(w, e.endpoint);
-    WriteDouble(w, e.app_metric);
-    WriteDouble(w, e.route_metric);
-    w.WriteU32(e.lifetime_s);
-    w.WriteU64(e.version);
-  }
-}
-
-Result<JournalDeltaResponse> DecodeJournalDeltaResponse(ByteReader& r) {
-  JournalDeltaResponse d;
-  INS_ASSIGN_OR_RETURN(d.from, ReadAddress(r));
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  uint8_t snapshot = 0;
-  INS_ASSIGN_OR_RETURN(snapshot, r.ReadU8());
-  d.snapshot = snapshot != 0;
-  INS_ASSIGN_OR_RETURN(d.to_serial, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.seq, r.ReadU32());
-  uint8_t last = 0;
-  INS_ASSIGN_OR_RETURN(last, r.ReadU8());
-  d.last = last != 0;
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  d.entries.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    JournalDeltaResponse::Entry e;
-    INS_ASSIGN_OR_RETURN(e.op, r.ReadU8());
-    INS_ASSIGN_OR_RETURN(e.name_text, r.ReadString());
-    INS_ASSIGN_OR_RETURN(e.announcer, ReadAnnouncer(r));
-    INS_ASSIGN_OR_RETURN(e.endpoint, ReadEndpoint(r));
-    INS_ASSIGN_OR_RETURN(e.app_metric, ReadDouble(r));
-    INS_ASSIGN_OR_RETURN(e.route_metric, ReadDouble(r));
-    INS_ASSIGN_OR_RETURN(e.lifetime_s, r.ReadU32());
-    INS_ASSIGN_OR_RETURN(e.version, r.ReadU64());
-    d.entries.push_back(std::move(e));
-  }
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrReplicaSetRequest& d) {
-  w.WriteU64(d.request_id);
-  w.WriteString(d.vspace);
-}
-
-Result<DsrReplicaSetRequest> DecodeDsrReplicaSetRequest(ByteReader& r) {
-  DsrReplicaSetRequest d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrReplicaSetResponse& d) {
-  w.WriteU64(d.request_id);
-  w.WriteString(d.vspace);
-  WriteAddressList(w, d.replicas);
-  WriteAddressList(w, d.candidates);
-}
-
-Result<DsrReplicaSetResponse> DecodeDsrReplicaSetResponse(ByteReader& r) {
-  DsrReplicaSetResponse d;
-  INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  INS_ASSIGN_OR_RETURN(d.replicas, ReadAddressList(r));
-  INS_ASSIGN_OR_RETURN(d.candidates, ReadAddressList(r));
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const ReplicaInvite& d) {
-  WriteAddress(w, d.from);
-  w.WriteString(d.vspace);
-}
-
-Result<ReplicaInvite> DecodeReplicaInvite(ByteReader& r) {
-  ReplicaInvite d;
-  INS_ASSIGN_OR_RETURN(d.from, ReadAddress(r));
-  INS_ASSIGN_OR_RETURN(d.vspace, r.ReadString());
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const DsrDeadInrReport& d) {
-  WriteAddress(w, d.reporter);
-  WriteAddress(w, d.dead);
-}
-
-Result<DsrDeadInrReport> DecodeDsrDeadInrReport(ByteReader& r) {
-  DsrDeadInrReport d;
-  INS_ASSIGN_OR_RETURN(d.reporter, ReadAddress(r));
-  INS_ASSIGN_OR_RETURN(d.dead, ReadAddress(r));
-  return d;
-}
-
-void EncodeBody(ByteWriter& w, const MetricsRequest& m) {
-  w.WriteU64(m.request_id);
-  WriteAddress(w, m.reply_to);
-}
-
-Result<MetricsRequest> DecodeMetricsRequest(ByteReader& r) {
-  MetricsRequest m;
-  INS_ASSIGN_OR_RETURN(m.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(m.reply_to, ReadAddress(r));
-  return m;
-}
-
-void EncodeBody(ByteWriter& w, const MetricsResponse& m) {
-  w.WriteU64(m.request_id);
-  WriteAddress(w, m.inr);
-  w.WriteU16(static_cast<uint16_t>(m.counters.size()));
-  for (const MetricsResponse::CounterItem& c : m.counters) {
-    w.WriteString(c.name);
-    w.WriteU64(c.value);
-  }
-  w.WriteU16(static_cast<uint16_t>(m.gauges.size()));
-  for (const MetricsResponse::GaugeItem& g : m.gauges) {
-    w.WriteString(g.name);
-    w.WriteU64(static_cast<uint64_t>(g.value));
-  }
-  w.WriteU16(static_cast<uint16_t>(m.histograms.size()));
-  for (const MetricsResponse::HistogramItem& h : m.histograms) {
-    w.WriteString(h.name);
-    w.WriteU64(h.sum);
-    w.WriteU64(h.min);
-    w.WriteU64(h.max);
-    w.WriteU8(static_cast<uint8_t>(h.buckets.size()));
-    for (const auto& [index, count] : h.buckets) {
-      w.WriteU8(index);
-      w.WriteU64(count);
+  template <class Count, class V>
+  void WriteList(const V& items) {
+    Write(static_cast<Count>(items.size()));
+    for (const auto& item : items) {
+      Write(item);
     }
   }
+
+  ByteWriter& w_;
+};
+
+// The fewest bytes one T encodes to: the encoding of T{}, whose strings and
+// lists are all empty.
+template <class T>
+size_t MinEncodedSize() {
+  static const size_t size = [] {
+    ByteWriter w;
+    Writer{w}(T{});
+    return w.size();
+  }();
+  return size;
 }
 
-Result<MetricsResponse> DecodeMetricsResponse(ByteReader& r) {
-  MetricsResponse m;
-  INS_ASSIGN_OR_RETURN(m.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(m.inr, ReadAddress(r));
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  m.counters.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    MetricsResponse::CounterItem c;
-    INS_ASSIGN_OR_RETURN(c.name, r.ReadString());
-    INS_ASSIGN_OR_RETURN(c.value, r.ReadU64());
-    m.counters.push_back(std::move(c));
+class Reader {
+ public:
+  explicit Reader(ByteReader& r) : r_(r) {}
+
+  template <class... Fs>
+  void operator()(Fs&&... fs) {
+    (Read(fs), ...);
   }
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  m.gauges.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    MetricsResponse::GaugeItem g;
-    INS_ASSIGN_OR_RETURN(g.name, r.ReadString());
+  // A cross-field rule the field types cannot express.
+  void Check(bool holds, const char* what) {
+    if (status_.ok() && !holds) {
+      status_ = InvalidArgumentError(what);
+    }
+  }
+  const Status& status() const { return status_; }
+
+ private:
+  // Stores read()'s value in `out`, or its error in status_. Once a read has
+  // failed, later reads are skipped.
+  template <class T, class ReadFn>
+  void Take(T& out, ReadFn read) {
+    if (!status_.ok()) {
+      return;
+    }
+    auto result = read();
+    if (result.ok()) {
+      out = std::move(*result);
+    } else {
+      status_ = result.status();
+    }
+  }
+
+  void Read(uint8_t& v) {
+    Take(v, [&] { return r_.ReadU8(); });
+  }
+  void Read(uint16_t& v) {
+    Take(v, [&] { return r_.ReadU16(); });
+  }
+  void Read(uint32_t& v) {
+    Take(v, [&] { return r_.ReadU32(); });
+  }
+  void Read(uint64_t& v) {
+    Take(v, [&] { return r_.ReadU64(); });
+  }
+  void Read(bool& v) {
+    uint8_t raw = 0;
+    Read(raw);
+    v = raw != 0;
+  }
+  void Read(int64_t& v) {
     uint64_t raw = 0;
-    INS_ASSIGN_OR_RETURN(raw, r.ReadU64());
-    g.value = static_cast<int64_t>(raw);
-    m.gauges.push_back(std::move(g));
+    Read(raw);
+    v = static_cast<int64_t>(raw);
   }
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  m.histograms.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    MetricsResponse::HistogramItem h;
-    INS_ASSIGN_OR_RETURN(h.name, r.ReadString());
-    INS_ASSIGN_OR_RETURN(h.sum, r.ReadU64());
-    INS_ASSIGN_OR_RETURN(h.min, r.ReadU64());
-    INS_ASSIGN_OR_RETURN(h.max, r.ReadU64());
-    uint8_t buckets = 0;
-    INS_ASSIGN_OR_RETURN(buckets, r.ReadU8());
-    h.buckets.reserve(buckets);
-    for (uint8_t b = 0; b < buckets; ++b) {
-      uint8_t index = 0;
-      uint64_t count = 0;
-      INS_ASSIGN_OR_RETURN(index, r.ReadU8());
-      INS_ASSIGN_OR_RETURN(count, r.ReadU64());
-      h.buckets.emplace_back(index, count);
-    }
-    m.histograms.push_back(std::move(h));
-  }
-  return m;
-}
-
-void EncodeBody(ByteWriter& w, const MetricsDeltaRequest& m) {
-  w.WriteU64(m.request_id);
-  WriteAddress(w, m.reply_to);
-  w.WriteU64(m.since_seq);
-}
-
-Result<MetricsDeltaRequest> DecodeMetricsDeltaRequest(ByteReader& r) {
-  MetricsDeltaRequest m;
-  INS_ASSIGN_OR_RETURN(m.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(m.reply_to, ReadAddress(r));
-  INS_ASSIGN_OR_RETURN(m.since_seq, r.ReadU64());
-  return m;
-}
-
-// The item sections reuse the MetricsResponse wire layout exactly; only the
-// delta framing (seq, since_seq, full) precedes them.
-void EncodeMetricsItems(ByteWriter& w,
-                        const std::vector<MetricsResponse::CounterItem>& counters,
-                        const std::vector<MetricsResponse::GaugeItem>& gauges,
-                        const std::vector<MetricsResponse::HistogramItem>& histograms) {
-  w.WriteU16(static_cast<uint16_t>(counters.size()));
-  for (const MetricsResponse::CounterItem& c : counters) {
-    w.WriteString(c.name);
-    w.WriteU64(c.value);
-  }
-  w.WriteU16(static_cast<uint16_t>(gauges.size()));
-  for (const MetricsResponse::GaugeItem& g : gauges) {
-    w.WriteString(g.name);
-    w.WriteU64(static_cast<uint64_t>(g.value));
-  }
-  w.WriteU16(static_cast<uint16_t>(histograms.size()));
-  for (const MetricsResponse::HistogramItem& h : histograms) {
-    w.WriteString(h.name);
-    w.WriteU64(h.sum);
-    w.WriteU64(h.min);
-    w.WriteU64(h.max);
-    w.WriteU8(static_cast<uint8_t>(h.buckets.size()));
-    for (const auto& [index, count] : h.buckets) {
-      w.WriteU8(index);
-      w.WriteU64(count);
-    }
-  }
-}
-
-Status DecodeMetricsItems(ByteReader& r,
-                          std::vector<MetricsResponse::CounterItem>& counters,
-                          std::vector<MetricsResponse::GaugeItem>& gauges,
-                          std::vector<MetricsResponse::HistogramItem>& histograms) {
-  uint16_t n = 0;
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  counters.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    MetricsResponse::CounterItem c;
-    INS_ASSIGN_OR_RETURN(c.name, r.ReadString());
-    INS_ASSIGN_OR_RETURN(c.value, r.ReadU64());
-    counters.push_back(std::move(c));
-  }
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  gauges.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    MetricsResponse::GaugeItem g;
-    INS_ASSIGN_OR_RETURN(g.name, r.ReadString());
+  void Read(double& v) {
     uint64_t raw = 0;
-    INS_ASSIGN_OR_RETURN(raw, r.ReadU64());
-    g.value = static_cast<int64_t>(raw);
-    gauges.push_back(std::move(g));
+    Read(raw);
+    v = std::bit_cast<double>(raw);
   }
-  INS_ASSIGN_OR_RETURN(n, r.ReadU16());
-  histograms.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    MetricsResponse::HistogramItem h;
-    INS_ASSIGN_OR_RETURN(h.name, r.ReadString());
-    INS_ASSIGN_OR_RETURN(h.sum, r.ReadU64());
-    INS_ASSIGN_OR_RETURN(h.min, r.ReadU64());
-    INS_ASSIGN_OR_RETURN(h.max, r.ReadU64());
-    uint8_t buckets = 0;
-    INS_ASSIGN_OR_RETURN(buckets, r.ReadU8());
-    h.buckets.reserve(buckets);
-    for (uint8_t b = 0; b < buckets; ++b) {
-      uint8_t index = 0;
-      uint64_t count = 0;
-      INS_ASSIGN_OR_RETURN(index, r.ReadU8());
-      INS_ASSIGN_OR_RETURN(count, r.ReadU64());
-      h.buckets.emplace_back(index, count);
+  void Read(std::string& s) {
+    Take(s, [&] { return r_.ReadString(); });
+  }
+  void Read(Packet& p) {
+    uint32_t len = 0;
+    Read(len);
+    Take(p, [&]() -> Result<Packet> {
+      auto raw = r_.ReadSpan(len);
+      if (!raw.ok()) {
+        return raw.status();
+      }
+      return DecodePacket(*raw);
+    });
+  }
+  template <class T>
+  void Read(std::vector<T>& v) {
+    ReadList<uint16_t>(v);
+  }
+  template <class V>
+  void Read(U8List<V>& list) {
+    ReadList<uint8_t>(list.items);
+  }
+  template <class T>
+  void Read(T& record) {
+    Fields(*this, record);
+  }
+
+  // The count comes off the wire, so it is checked against the bytes left
+  // before anything is allocated for it: a count the remaining bytes cannot
+  // hold is rejected (the element reads would fail anyway), which bounds the
+  // allocation by the datagram's size instead of by the count.
+  template <class Count, class V>
+  void ReadList(V& items) {
+    Count n = 0;
+    Read(n);
+    if (!status_.ok()) {
+      return;
     }
-    histograms.push_back(std::move(h));
+    if (size_t{n} * MinEncodedSize<typename V::value_type>() > r_.remaining()) {
+      status_ = InvalidArgumentError("list of " + std::to_string(n) + " elements overruns the " +
+                                     std::to_string(r_.remaining()) + " bytes left");
+      return;
+    }
+    items.resize(n);
+    for (auto& item : items) {
+      Read(item);
+      if (!status_.ok()) {
+        return;
+      }
+    }
   }
-  return Status::Ok();
+
+  ByteReader& r_;
+  Status status_;
+};
+
+// --- Field lists -------------------------------------------------------------
+
+void Fields(auto& ar, Is<NodeAddress> auto& a) { ar(a.ip, a.port); }
+void Fields(auto& ar, Is<AnnouncerId> auto& id) { ar(id.ip, id.start_time_us, id.discriminator); }
+void Fields(auto& ar, Is<PortBinding> auto& b) { ar(b.port, b.transport); }
+void Fields(auto& ar, Is<EndpointInfo> auto& e) { ar(e.address, e.bindings); }
+
+void Fields(auto& ar, Is<Advertisement> auto& m) {
+  ar(m.vspace, m.name_text, m.announcer, m.endpoint, m.app_metric, m.lifetime_s, m.version);
+}
+void Fields(auto& ar, Is<NameUpdateEntry> auto& e) {
+  ar(e.name_text, e.announcer, e.endpoint, e.app_metric, e.route_metric, e.lifetime_s,
+     e.version);
+}
+void Fields(auto& ar, Is<NameUpdate> auto& m) { ar(m.vspace, m.triggered, m.entries); }
+void Fields(auto& ar, Is<DiscoveryRequest> auto& m) {
+  ar(m.request_id, m.vspace, m.filter_text, m.reply_to);
+}
+void Fields(auto& ar, Is<DiscoveryResponse::Item> auto& i) {
+  ar(i.name_text, i.endpoint, i.app_metric);
+}
+void Fields(auto& ar, Is<DiscoveryResponse> auto& m) { ar(m.request_id, m.vspace, m.items); }
+void Fields(auto& ar, Is<EarlyBindingResponse::Item> auto& i) { ar(i.endpoint, i.app_metric); }
+void Fields(auto& ar, Is<EarlyBindingResponse> auto& m) { ar(m.request_id, m.items); }
+void Fields(auto& ar, Is<Ping> auto& m) { ar(m.nonce, m.send_time_us); }
+void Fields(auto& ar, Is<Pong> auto& m) { ar(m.nonce, m.echo_send_time_us); }
+void Fields(auto& ar, Is<PeerRequest> auto& m) { ar(m.requester); }
+void Fields(auto& ar, Is<PeerAccept> auto& m) { ar(m.accepter); }
+void Fields(auto& ar, Is<PeerClose> auto& m) { ar(m.closer); }
+void Fields(auto& ar, Is<DsrRegister> auto& m) { ar(m.inr, m.active, m.vspaces, m.lifetime_s); }
+void Fields(auto& ar, Is<DsrListRequest> auto& m) { ar(m.request_id); }
+void Fields(auto& ar, Is<DsrListResponse> auto& m) {
+  ar(m.request_id, m.active_inrs, m.join_orders);
+  ar.Check(m.join_orders.size() == m.active_inrs.size(),
+           "join_orders/active_inrs length mismatch");
+}
+void Fields(auto& ar, Is<DsrVspaceRequest> auto& m) { ar(m.request_id, m.vspace); }
+void Fields(auto& ar, Is<DsrVspaceResponse> auto& m) { ar(m.request_id, m.vspace, m.inr); }
+void Fields(auto& ar, Is<DsrCandidatesRequest> auto& m) { ar(m.request_id); }
+void Fields(auto& ar, Is<DsrCandidatesResponse> auto& m) { ar(m.request_id, m.candidates); }
+void Fields(auto& ar, Is<SpawnRequest> auto& m) { ar(m.requester, m.vspaces); }
+void Fields(auto& ar, Is<DelegateVspace> auto& m) { ar(m.from, m.vspace); }
+void Fields(auto& ar, Is<DsrAssignmentsRequest> auto& m) { ar(m.request_id, m.inr); }
+void Fields(auto& ar, Is<DsrAssignmentsResponse> auto& m) { ar(m.request_id, m.vspaces); }
+void Fields(auto& ar, Is<PeerKeepalive> auto& m) { ar(m.from); }
+void Fields(auto& ar, Is<MetricsRequest> auto& m) { ar(m.request_id, m.reply_to); }
+void Fields(auto& ar, Is<MetricsResponse::CounterItem> auto& c) { ar(c.name, c.value); }
+void Fields(auto& ar, Is<MetricsResponse::GaugeItem> auto& g) { ar(g.name, g.value); }
+void Fields(auto& ar, Is<std::pair<uint8_t, uint64_t>> auto& bucket) {
+  ar(bucket.first, bucket.second);  // (bucket index, count)
+}
+void Fields(auto& ar, Is<MetricsResponse::HistogramItem> auto& h) {
+  ar(h.name, h.sum, h.min, h.max, U8List{h.buckets});
+}
+void Fields(auto& ar, Is<MetricsResponse> auto& m) {
+  ar(m.request_id, m.inr, m.counters, m.gauges, m.histograms);
+}
+void Fields(auto& ar, Is<JournalDigest::Item> auto& i) { ar(i.vspace, i.serial); }
+void Fields(auto& ar, Is<JournalDigest> auto& m) { ar(m.from, m.items); }
+void Fields(auto& ar, Is<JournalDeltaRequest> auto& m) {
+  ar(m.from, m.vspace, m.after_serial, m.full);
+}
+void Fields(auto& ar, Is<JournalDeltaResponse::Entry> auto& e) {
+  ar(e.op, e.name_text, e.announcer, e.endpoint, e.app_metric, e.route_metric, e.lifetime_s,
+     e.version);
+}
+void Fields(auto& ar, Is<JournalDeltaResponse> auto& m) {
+  ar(m.from, m.vspace, m.snapshot, m.to_serial, m.seq, m.last, m.entries);
+}
+void Fields(auto& ar, Is<DsrReplicaSetRequest> auto& m) { ar(m.request_id, m.vspace); }
+void Fields(auto& ar, Is<DsrReplicaSetResponse> auto& m) {
+  ar(m.request_id, m.vspace, m.replicas, m.candidates);
+}
+void Fields(auto& ar, Is<ReplicaInvite> auto& m) { ar(m.from, m.vspace); }
+void Fields(auto& ar, Is<DsrDeadInrReport> auto& m) { ar(m.reporter, m.dead); }
+void Fields(auto& ar, Is<MetricsDeltaRequest> auto& m) {
+  ar(m.request_id, m.reply_to, m.since_seq);
+}
+// The item sections share MetricsResponse's layout; the delta framing
+// (seq, since_seq, full) precedes them.
+void Fields(auto& ar, Is<MetricsDeltaResponse> auto& m) {
+  ar(m.request_id, m.inr, m.seq, m.since_seq, m.full, m.counters, m.gauges, m.histograms);
 }
 
-void EncodeBody(ByteWriter& w, const MetricsDeltaResponse& m) {
-  w.WriteU64(m.request_id);
-  WriteAddress(w, m.inr);
-  w.WriteU64(m.seq);
-  w.WriteU64(m.since_seq);
-  w.WriteU8(m.full ? 1 : 0);
-  EncodeMetricsItems(w, m.counters, m.gauges, m.histograms);
+// --- Envelope type byte ------------------------------------------------------
+
+// An alternative's MessageType is its index in MessageBody plus one.
+template <class T, class... Ts>
+constexpr size_t IndexIn(const std::variant<Ts...>*) {
+  size_t i = 0;
+  (void)((std::is_same_v<T, Ts> ? false : (++i, true)) && ...);
+  return i;
+}
+template <class T>
+constexpr MessageType kTypeOf =
+    static_cast<MessageType>(IndexIn<T>(static_cast<const MessageBody*>(nullptr)) + 1);
+
+static_assert(kTypeOf<Packet> == MessageType::kData);
+static_assert(kTypeOf<Advertisement> == MessageType::kAdvertisement);
+static_assert(kTypeOf<NameUpdate> == MessageType::kNameUpdate);
+static_assert(kTypeOf<DiscoveryRequest> == MessageType::kDiscoveryRequest);
+static_assert(kTypeOf<DiscoveryResponse> == MessageType::kDiscoveryResponse);
+static_assert(kTypeOf<EarlyBindingResponse> == MessageType::kEarlyBindingResponse);
+static_assert(kTypeOf<Ping> == MessageType::kPing);
+static_assert(kTypeOf<Pong> == MessageType::kPong);
+static_assert(kTypeOf<PeerRequest> == MessageType::kPeerRequest);
+static_assert(kTypeOf<PeerAccept> == MessageType::kPeerAccept);
+static_assert(kTypeOf<PeerClose> == MessageType::kPeerClose);
+static_assert(kTypeOf<DsrRegister> == MessageType::kDsrRegister);
+static_assert(kTypeOf<DsrListRequest> == MessageType::kDsrListRequest);
+static_assert(kTypeOf<DsrListResponse> == MessageType::kDsrListResponse);
+static_assert(kTypeOf<DsrVspaceRequest> == MessageType::kDsrVspaceRequest);
+static_assert(kTypeOf<DsrVspaceResponse> == MessageType::kDsrVspaceResponse);
+static_assert(kTypeOf<DsrCandidatesRequest> == MessageType::kDsrCandidatesRequest);
+static_assert(kTypeOf<DsrCandidatesResponse> == MessageType::kDsrCandidatesResponse);
+static_assert(kTypeOf<SpawnRequest> == MessageType::kSpawnRequest);
+static_assert(kTypeOf<DelegateVspace> == MessageType::kDelegateVspace);
+static_assert(kTypeOf<DsrAssignmentsRequest> == MessageType::kDsrAssignmentsRequest);
+static_assert(kTypeOf<DsrAssignmentsResponse> == MessageType::kDsrAssignmentsResponse);
+static_assert(kTypeOf<PeerKeepalive> == MessageType::kPeerKeepalive);
+static_assert(kTypeOf<MetricsRequest> == MessageType::kMetricsRequest);
+static_assert(kTypeOf<MetricsResponse> == MessageType::kMetricsResponse);
+static_assert(kTypeOf<JournalDigest> == MessageType::kJournalDigest);
+static_assert(kTypeOf<JournalDeltaRequest> == MessageType::kJournalDeltaRequest);
+static_assert(kTypeOf<JournalDeltaResponse> == MessageType::kJournalDeltaResponse);
+static_assert(kTypeOf<DsrReplicaSetRequest> == MessageType::kDsrReplicaSetRequest);
+static_assert(kTypeOf<DsrReplicaSetResponse> == MessageType::kDsrReplicaSetResponse);
+static_assert(kTypeOf<ReplicaInvite> == MessageType::kReplicaInvite);
+static_assert(kTypeOf<DsrDeadInrReport> == MessageType::kDsrDeadInrReport);
+static_assert(kTypeOf<MetricsDeltaRequest> == MessageType::kMetricsDeltaRequest);
+static_assert(kTypeOf<MetricsDeltaResponse> == MessageType::kMetricsDeltaResponse);
+
+template <class T>
+Result<Envelope> DecodeBody(ByteReader& r) {
+  Result<Envelope> out(Envelope{MessageBody(std::in_place_type<T>)});
+  Reader ar(r);
+  ar(std::get<T>(out->body));
+  if (!ar.status().ok()) {
+    return ar.status();
+  }
+  return out;
 }
 
-Result<MetricsDeltaResponse> DecodeMetricsDeltaResponse(ByteReader& r) {
-  MetricsDeltaResponse m;
-  INS_ASSIGN_OR_RETURN(m.request_id, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(m.inr, ReadAddress(r));
-  INS_ASSIGN_OR_RETURN(m.seq, r.ReadU64());
-  INS_ASSIGN_OR_RETURN(m.since_seq, r.ReadU64());
-  uint8_t full = 0;
-  INS_ASSIGN_OR_RETURN(full, r.ReadU8());
-  m.full = full != 0;
-  INS_RETURN_IF_ERROR(DecodeMetricsItems(r, m.counters, m.gauges, m.histograms));
-  return m;
-}
+// kBodyDecoders[type - 1] decodes the body of a datagram of that type.
+constexpr auto kBodyDecoders = []<size_t... I>(std::index_sequence<I...>) {
+  return std::array{&DecodeBody<std::variant_alternative_t<I, MessageBody>>...};
+}(std::make_index_sequence<std::variant_size_v<MessageBody>>());
 
 }  // namespace
 
-MessageType Envelope::type() const {
-  struct Visitor {
-    MessageType operator()(const Packet&) { return MessageType::kData; }
-    MessageType operator()(const Advertisement&) { return MessageType::kAdvertisement; }
-    MessageType operator()(const NameUpdate&) { return MessageType::kNameUpdate; }
-    MessageType operator()(const DiscoveryRequest&) { return MessageType::kDiscoveryRequest; }
-    MessageType operator()(const DiscoveryResponse&) {
-      return MessageType::kDiscoveryResponse;
-    }
-    MessageType operator()(const EarlyBindingResponse&) {
-      return MessageType::kEarlyBindingResponse;
-    }
-    MessageType operator()(const Ping&) { return MessageType::kPing; }
-    MessageType operator()(const Pong&) { return MessageType::kPong; }
-    MessageType operator()(const PeerRequest&) { return MessageType::kPeerRequest; }
-    MessageType operator()(const PeerAccept&) { return MessageType::kPeerAccept; }
-    MessageType operator()(const PeerClose&) { return MessageType::kPeerClose; }
-    MessageType operator()(const DsrRegister&) { return MessageType::kDsrRegister; }
-    MessageType operator()(const DsrListRequest&) { return MessageType::kDsrListRequest; }
-    MessageType operator()(const DsrListResponse&) { return MessageType::kDsrListResponse; }
-    MessageType operator()(const DsrVspaceRequest&) { return MessageType::kDsrVspaceRequest; }
-    MessageType operator()(const DsrVspaceResponse&) {
-      return MessageType::kDsrVspaceResponse;
-    }
-    MessageType operator()(const DsrCandidatesRequest&) {
-      return MessageType::kDsrCandidatesRequest;
-    }
-    MessageType operator()(const DsrCandidatesResponse&) {
-      return MessageType::kDsrCandidatesResponse;
-    }
-    MessageType operator()(const SpawnRequest&) { return MessageType::kSpawnRequest; }
-    MessageType operator()(const DelegateVspace&) { return MessageType::kDelegateVspace; }
-    MessageType operator()(const DsrAssignmentsRequest&) {
-      return MessageType::kDsrAssignmentsRequest;
-    }
-    MessageType operator()(const DsrAssignmentsResponse&) {
-      return MessageType::kDsrAssignmentsResponse;
-    }
-    MessageType operator()(const PeerKeepalive&) { return MessageType::kPeerKeepalive; }
-    MessageType operator()(const MetricsRequest&) { return MessageType::kMetricsRequest; }
-    MessageType operator()(const MetricsResponse&) { return MessageType::kMetricsResponse; }
-    MessageType operator()(const JournalDigest&) { return MessageType::kJournalDigest; }
-    MessageType operator()(const JournalDeltaRequest&) {
-      return MessageType::kJournalDeltaRequest;
-    }
-    MessageType operator()(const JournalDeltaResponse&) {
-      return MessageType::kJournalDeltaResponse;
-    }
-    MessageType operator()(const DsrReplicaSetRequest&) {
-      return MessageType::kDsrReplicaSetRequest;
-    }
-    MessageType operator()(const DsrReplicaSetResponse&) {
-      return MessageType::kDsrReplicaSetResponse;
-    }
-    MessageType operator()(const ReplicaInvite&) { return MessageType::kReplicaInvite; }
-    MessageType operator()(const DsrDeadInrReport&) {
-      return MessageType::kDsrDeadInrReport;
-    }
-    MessageType operator()(const MetricsDeltaRequest&) {
-      return MessageType::kMetricsDeltaRequest;
-    }
-    MessageType operator()(const MetricsDeltaResponse&) {
-      return MessageType::kMetricsDeltaResponse;
-    }
-  };
-  return std::visit(Visitor{}, body);
-}
+MessageType Envelope::type() const { return static_cast<MessageType>(body.index() + 1); }
 
 uint32_t EnvelopeChecksum(const uint8_t* data, size_t len) {
   // 32-bit FNV-1a. Not cryptographic — it plays the role of the UDP/link
@@ -845,7 +381,7 @@ uint32_t EnvelopeChecksum(const uint8_t* data, size_t len) {
 Bytes EncodeMessage(const Envelope& e) {
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(e.type()));
-  std::visit([&w](const auto& body) { EncodeBody(w, body); }, e.body);
+  std::visit(Writer(w), e.body);
   w.WriteU32(EnvelopeChecksum(w.bytes().data(), w.size()));
   return std::move(w).TakeBytes();
 }
@@ -864,241 +400,27 @@ Result<Envelope> DecodeMessage(const Bytes& buffer) {
   ByteReader r(buffer.data(), body_len);
   uint8_t raw_type = 0;
   INS_ASSIGN_OR_RETURN(raw_type, r.ReadU8());
-  switch (static_cast<MessageType>(raw_type)) {
-    case MessageType::kData: {
-      INS_ASSIGN_OR_RETURN(Packet p, DecodePacketBody(r));
-      return Envelope{MessageBody(std::move(p))};
-    }
-    case MessageType::kAdvertisement: {
-      INS_ASSIGN_OR_RETURN(Advertisement a, DecodeAdvertisement(r));
-      return Envelope{MessageBody(std::move(a))};
-    }
-    case MessageType::kNameUpdate: {
-      INS_ASSIGN_OR_RETURN(NameUpdate u, DecodeNameUpdate(r));
-      return Envelope{MessageBody(std::move(u))};
-    }
-    case MessageType::kDiscoveryRequest: {
-      INS_ASSIGN_OR_RETURN(DiscoveryRequest d, DecodeDiscoveryRequest(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDiscoveryResponse: {
-      INS_ASSIGN_OR_RETURN(DiscoveryResponse d, DecodeDiscoveryResponse(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kEarlyBindingResponse: {
-      INS_ASSIGN_OR_RETURN(EarlyBindingResponse e, DecodeEarlyBindingResponse(r));
-      return Envelope{MessageBody(std::move(e))};
-    }
-    case MessageType::kPing: {
-      INS_ASSIGN_OR_RETURN(Ping p, DecodePing(r));
-      return Envelope{MessageBody(p)};
-    }
-    case MessageType::kPong: {
-      INS_ASSIGN_OR_RETURN(Pong p, DecodePong(r));
-      return Envelope{MessageBody(p)};
-    }
-    case MessageType::kPeerRequest: {
-      PeerRequest p;
-      INS_ASSIGN_OR_RETURN(p.requester, ReadAddress(r));
-      return Envelope{MessageBody(p)};
-    }
-    case MessageType::kPeerAccept: {
-      PeerAccept p;
-      INS_ASSIGN_OR_RETURN(p.accepter, ReadAddress(r));
-      return Envelope{MessageBody(p)};
-    }
-    case MessageType::kPeerClose: {
-      PeerClose p;
-      INS_ASSIGN_OR_RETURN(p.closer, ReadAddress(r));
-      return Envelope{MessageBody(p)};
-    }
-    case MessageType::kDsrRegister: {
-      INS_ASSIGN_OR_RETURN(DsrRegister d, DecodeDsrRegister(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrListRequest: {
-      DsrListRequest d;
-      INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-      return Envelope{MessageBody(d)};
-    }
-    case MessageType::kDsrListResponse: {
-      INS_ASSIGN_OR_RETURN(DsrListResponse d, DecodeDsrListResponse(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrVspaceRequest: {
-      INS_ASSIGN_OR_RETURN(DsrVspaceRequest d, DecodeDsrVspaceRequest(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrVspaceResponse: {
-      INS_ASSIGN_OR_RETURN(DsrVspaceResponse d, DecodeDsrVspaceResponse(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrCandidatesRequest: {
-      DsrCandidatesRequest d;
-      INS_ASSIGN_OR_RETURN(d.request_id, r.ReadU64());
-      return Envelope{MessageBody(d)};
-    }
-    case MessageType::kDsrCandidatesResponse: {
-      INS_ASSIGN_OR_RETURN(DsrCandidatesResponse d, DecodeDsrCandidatesResponse(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kSpawnRequest: {
-      INS_ASSIGN_OR_RETURN(SpawnRequest s, DecodeSpawnRequest(r));
-      return Envelope{MessageBody(std::move(s))};
-    }
-    case MessageType::kDelegateVspace: {
-      INS_ASSIGN_OR_RETURN(DelegateVspace d, DecodeDelegateVspace(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrAssignmentsRequest: {
-      INS_ASSIGN_OR_RETURN(DsrAssignmentsRequest d, DecodeDsrAssignmentsRequest(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrAssignmentsResponse: {
-      INS_ASSIGN_OR_RETURN(DsrAssignmentsResponse d, DecodeDsrAssignmentsResponse(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kPeerKeepalive: {
-      PeerKeepalive p;
-      INS_ASSIGN_OR_RETURN(p.from, ReadAddress(r));
-      return Envelope{MessageBody(p)};
-    }
-    case MessageType::kMetricsRequest: {
-      INS_ASSIGN_OR_RETURN(MetricsRequest m, DecodeMetricsRequest(r));
-      return Envelope{MessageBody(m)};
-    }
-    case MessageType::kMetricsResponse: {
-      INS_ASSIGN_OR_RETURN(MetricsResponse m, DecodeMetricsResponse(r));
-      return Envelope{MessageBody(std::move(m))};
-    }
-    case MessageType::kJournalDigest: {
-      INS_ASSIGN_OR_RETURN(JournalDigest d, DecodeJournalDigest(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kJournalDeltaRequest: {
-      INS_ASSIGN_OR_RETURN(JournalDeltaRequest d, DecodeJournalDeltaRequest(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kJournalDeltaResponse: {
-      INS_ASSIGN_OR_RETURN(JournalDeltaResponse d, DecodeJournalDeltaResponse(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrReplicaSetRequest: {
-      INS_ASSIGN_OR_RETURN(DsrReplicaSetRequest d, DecodeDsrReplicaSetRequest(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrReplicaSetResponse: {
-      INS_ASSIGN_OR_RETURN(DsrReplicaSetResponse d, DecodeDsrReplicaSetResponse(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kReplicaInvite: {
-      INS_ASSIGN_OR_RETURN(ReplicaInvite d, DecodeReplicaInvite(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kDsrDeadInrReport: {
-      INS_ASSIGN_OR_RETURN(DsrDeadInrReport d, DecodeDsrDeadInrReport(r));
-      return Envelope{MessageBody(std::move(d))};
-    }
-    case MessageType::kMetricsDeltaRequest: {
-      INS_ASSIGN_OR_RETURN(MetricsDeltaRequest m, DecodeMetricsDeltaRequest(r));
-      return Envelope{MessageBody(m)};
-    }
-    case MessageType::kMetricsDeltaResponse: {
-      INS_ASSIGN_OR_RETURN(MetricsDeltaResponse m, DecodeMetricsDeltaResponse(r));
-      return Envelope{MessageBody(std::move(m))};
-    }
+  if (raw_type == 0 || raw_type > kBodyDecoders.size()) {
+    return InvalidArgumentError("unknown message type " + std::to_string(raw_type));
   }
-  return InvalidArgumentError("unknown message type " + std::to_string(raw_type));
+  return kBodyDecoders[raw_type - 1](r);
 }
 
-MetricsResponse BuildMetricsResponse(uint64_t request_id, const NodeAddress& inr,
-                                     const MetricsSnapshot& snapshot) {
-  MetricsResponse resp;
-  resp.request_id = request_id;
-  resp.inr = inr;
-  resp.counters.reserve(snapshot.counters.size());
-  for (const auto& [name, value] : snapshot.counters) {
-    resp.counters.push_back({name, value});
-  }
-  resp.gauges.reserve(snapshot.gauges.size());
-  for (const auto& [name, value] : snapshot.gauges) {
-    resp.gauges.push_back({name, value});
-  }
-  resp.histograms.reserve(snapshot.histograms.size());
-  for (const auto& [name, h] : snapshot.histograms) {
-    MetricsResponse::HistogramItem item;
-    item.name = name;
-    item.sum = h.sum();
-    item.min = h.min();
-    item.max = h.max();
-    item.buckets = h.SparseBuckets();
-    resp.histograms.push_back(std::move(item));
-  }
-  return resp;
-}
-
-MetricsSnapshot SnapshotFromResponse(const MetricsResponse& resp) {
-  MetricsSnapshot snap;
-  for (const MetricsResponse::CounterItem& c : resp.counters) {
-    snap.counters[c.name] = c.value;
-  }
-  for (const MetricsResponse::GaugeItem& g : resp.gauges) {
-    snap.gauges[g.name] = g.value;
-  }
-  for (const MetricsResponse::HistogramItem& h : resp.histograms) {
-    snap.histograms[h.name] = Histogram::FromParts(h.sum, h.min, h.max, h.buckets);
-  }
-  return snap;
-}
+// --- Metrics snapshot <-> wire items -----------------------------------------
 
 namespace {
 
 MetricsResponse::HistogramItem HistogramItemFrom(const std::string& name,
                                                 const Histogram& h) {
-  MetricsResponse::HistogramItem item;
-  item.name = name;
-  item.sum = h.sum();
-  item.min = h.min();
-  item.max = h.max();
-  item.buckets = h.SparseBuckets();
-  return item;
+  return {name, h.sum(), h.min(), h.max(), h.SparseBuckets()};
 }
 
-}  // namespace
-
-MetricsDeltaResponse BuildMetricsFull(uint64_t request_id, const NodeAddress& inr,
-                                      uint64_t seq, const MetricsSnapshot& now) {
-  MetricsDeltaResponse resp;
-  resp.request_id = request_id;
-  resp.inr = inr;
-  resp.seq = seq;
-  resp.since_seq = 0;
-  resp.full = true;
-  resp.counters.reserve(now.counters.size());
-  for (const auto& [name, value] : now.counters) {
-    resp.counters.push_back({name, value});
-  }
-  resp.gauges.reserve(now.gauges.size());
-  for (const auto& [name, value] : now.gauges) {
-    resp.gauges.push_back({name, value});
-  }
-  resp.histograms.reserve(now.histograms.size());
-  for (const auto& [name, h] : now.histograms) {
-    resp.histograms.push_back(HistogramItemFrom(name, h));
-  }
-  return resp;
-}
-
-MetricsDeltaResponse BuildMetricsDelta(uint64_t request_id, const NodeAddress& inr,
-                                       uint64_t seq, uint64_t since_seq,
-                                       const MetricsSnapshot& baseline,
-                                       const MetricsSnapshot& now) {
-  MetricsDeltaResponse resp;
-  resp.request_id = request_id;
-  resp.inr = inr;
-  resp.seq = seq;
-  resp.since_seq = since_seq;
-  resp.full = false;
+// Appends the slots of `now` that differ from `baseline` to a MetricsResponse
+// or MetricsDeltaResponse. New names count as changed, so an empty baseline
+// appends every slot. Histograms compare on recorded count.
+template <class Response>
+void AppendChangedItems(Response& resp, const MetricsSnapshot& baseline,
+                        const MetricsSnapshot& now) {
   for (const auto& [name, value] : now.counters) {
     auto it = baseline.counters.find(name);
     if (it == baseline.counters.end() || it->second != value) {
@@ -1119,13 +441,11 @@ MetricsDeltaResponse BuildMetricsDelta(uint64_t request_id, const NodeAddress& i
       resp.histograms.push_back(HistogramItemFrom(name, h));
     }
   }
-  return resp;
 }
 
-void ApplyMetricsDelta(const MetricsDeltaResponse& resp, MetricsSnapshot& view) {
-  if (resp.full) {
-    view = MetricsSnapshot{};
-  }
+// Writes every item of a MetricsResponse or MetricsDeltaResponse into `view`.
+template <class Response>
+void ApplyItems(const Response& resp, MetricsSnapshot& view) {
   for (const MetricsResponse::CounterItem& c : resp.counters) {
     view.counters[c.name] = c.value;
   }
@@ -1135,6 +455,52 @@ void ApplyMetricsDelta(const MetricsDeltaResponse& resp, MetricsSnapshot& view) 
   for (const MetricsResponse::HistogramItem& h : resp.histograms) {
     view.histograms[h.name] = Histogram::FromParts(h.sum, h.min, h.max, h.buckets);
   }
+}
+
+}  // namespace
+
+MetricsResponse BuildMetricsResponse(uint64_t request_id, const NodeAddress& inr,
+                                     const MetricsSnapshot& snapshot) {
+  MetricsResponse resp;
+  resp.request_id = request_id;
+  resp.inr = inr;
+  AppendChangedItems(resp, MetricsSnapshot{}, snapshot);
+  return resp;
+}
+
+MetricsSnapshot SnapshotFromResponse(const MetricsResponse& resp) {
+  MetricsSnapshot snap;
+  ApplyItems(resp, snap);
+  return snap;
+}
+
+MetricsDeltaResponse BuildMetricsFull(uint64_t request_id, const NodeAddress& inr,
+                                      uint64_t seq, const MetricsSnapshot& now) {
+  MetricsDeltaResponse resp =
+      BuildMetricsDelta(request_id, inr, seq, /*since_seq=*/0, MetricsSnapshot{}, now);
+  resp.full = true;
+  return resp;
+}
+
+MetricsDeltaResponse BuildMetricsDelta(uint64_t request_id, const NodeAddress& inr,
+                                       uint64_t seq, uint64_t since_seq,
+                                       const MetricsSnapshot& baseline,
+                                       const MetricsSnapshot& now) {
+  MetricsDeltaResponse resp;
+  resp.request_id = request_id;
+  resp.inr = inr;
+  resp.seq = seq;
+  resp.since_seq = since_seq;
+  resp.full = false;
+  AppendChangedItems(resp, baseline, now);
+  return resp;
+}
+
+void ApplyMetricsDelta(const MetricsDeltaResponse& resp, MetricsSnapshot& view) {
+  if (resp.full) {
+    view = MetricsSnapshot{};
+  }
+  ApplyItems(resp, view);
 }
 
 }  // namespace ins

@@ -22,6 +22,11 @@ bool ConsumeDeadlineBudget(Packet& p, uint32_t elapsed_ms) {
 
 Bytes EncodePacket(const Packet& p) {
   ByteWriter w;
+  EncodePacket(p, w);
+  return std::move(w).TakeBytes();
+}
+
+void EncodePacket(const Packet& p, ByteWriter& w) {
   uint8_t flags = 0;
   if (p.early_binding) {
     flags |= kFlagEarlyBinding;
@@ -57,7 +62,6 @@ Bytes EncodePacket(const Packet& p) {
   w.WriteBytes(reinterpret_cast<const uint8_t*>(p.destination_name.data()),
                p.destination_name.size());
   w.WriteBytes(p.payload);
-  return std::move(w).TakeBytes();
 }
 
 namespace {
@@ -75,12 +79,12 @@ struct HeaderFields {
   size_t total;
 };
 
-Result<HeaderFields> ReadHeader(const Bytes& buffer) {
+Result<HeaderFields> ReadHeader(std::span<const uint8_t> buffer) {
   if (buffer.size() < kPacketHeaderSize) {
     return InvalidArgumentError("packet shorter than header: " +
                                 std::to_string(buffer.size()) + " bytes");
   }
-  ByteReader r(buffer);
+  ByteReader r(buffer.data(), buffer.size());
   HeaderFields h;
   h.version = *r.ReadU8();
   if (h.version != kInsVersion) {
@@ -118,7 +122,7 @@ Result<HeaderFields> ReadHeader(const Bytes& buffer) {
 
 }  // namespace
 
-Result<Packet> DecodePacket(const Bytes& buffer) {
+Result<Packet> DecodePacket(std::span<const uint8_t> buffer) {
   auto h = ReadHeader(buffer);
   if (!h.ok()) {
     return h.status();

@@ -13,6 +13,7 @@
 #define INS_WIRE_PACKET_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "ins/common/bytes.h"
@@ -86,7 +87,10 @@ inline constexpr size_t kPacketTraceExtensionSize = 8;
 bool ConsumeDeadlineBudget(Packet& p, uint32_t elapsed_ms);
 
 Bytes EncodePacket(const Packet& p);
-Result<Packet> DecodePacket(const Bytes& buffer);
+// Appends the encoding to `w` (the kData envelope writes it in place).
+void EncodePacket(const Packet& p, ByteWriter& w);
+// `buffer` is exactly one encoded packet: its total-length field must match.
+Result<Packet> DecodePacket(std::span<const uint8_t> buffer);
 
 // Reads only the payload location from an encoded packet without touching
 // the names — the forwarding fast path the pointer fields exist for. Returns
